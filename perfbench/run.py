@@ -47,6 +47,8 @@ TUNE_LAYERS = ("tuning.", "trainer.", "ps.", "cluster.", "nn.", "proc.",
 # seeds (p50 18%, p99 37% of the median over 8 seeds) exceeds any usable
 # bound, because the agent's online learning takes a different path each run.
 UNSCORED = ("serve_sine_rl",)
+# Window of each smoke run.
+SMOKE_SECONDS = 3
 LAYERS = {
     "serve_closed_tiny": SERVE_LAYERS,
     "serve_sine_ensemble": SERVE_LAYERS,
@@ -102,17 +104,17 @@ def build():
                               stdout=sys.stderr).returncode == 0
 
 
-def command(workload, seed, seconds, trace, extra=()):
+def command(workload, seed, seconds, trace):
     cmd = [BINARY, "--workload", workload, "--seed", str(seed), "--seconds",
            str(seconds), "--trace", str(trace), "--commit", source_id()]
     if trace:
         os.makedirs(TRACE_DIR, exist_ok=True)
         cmd += ["--trace-out",
                 os.path.join(TRACE_DIR, "%s-seed%s.jsonl" % (workload, seed))]
-    return cmd + list(extra)
+    return cmd
 
 
-def smoke(seconds):
+def smoke():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     e2e = {m["name"]: m["unit"] for m in spec["end_to_end"]}
@@ -121,7 +123,7 @@ def smoke(seconds):
     for name in [w["name"] for w in spec["workloads"]] + list(UNSCORED):
         for trace in (0, 1):
             before = len(problems)
-            out = subprocess.run(command(name, 1, seconds, trace),
+            out = subprocess.run(command(name, 1, SMOKE_SECONDS, trace),
                                  capture_output=True, text=True, timeout=170)
             tag = "%s trace=%d" % (name, trace)
             lines = out.stdout.strip().splitlines()
@@ -163,18 +165,17 @@ def main():
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--smoke-seconds", type=float, default=3)
-    args, extra = parser.parse_known_args()
+    args = parser.parse_args()
     if not build():
         log("error: build failed")
         return 1
     if args.smoke:
-        return smoke(args.smoke_seconds)
+        return smoke()
     if not args.workload:
         parser.error("--workload is required")
     sys.stdout.flush()
     return subprocess.run(command(args.workload, args.seed, args.seconds,
-                                  args.trace, extra)).returncode
+                                  args.trace)).returncode
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -174,7 +173,7 @@ class Client {
     r_->slot_sent.assign(slots, 0);
     r_->slot_correct.assign(slots, 0);
     r_->slot_in_tau.assign(slots, 0);
-    r_->slot_latency.assign(slots, LatencyLog());
+    r_->slot_latency.assign(slots, LatencySeconds());
     size_t next = 0;
     epoll_event events[16];
     for (;;) {
@@ -185,7 +184,7 @@ class Client {
             Conn* c = LeastLoaded();
             if (c == nullptr) break;
             Issue(*c, t0 + sched[next], now);
-            r_->lag.Add(now - (t0 + sched[next]));
+            r_->lag.Add(static_cast<double>(now - (t0 + sched[next])) / 1e9);
             ++next;
           }
         } else {
@@ -380,8 +379,8 @@ class Client {
     }
     ++r_->answered_200;
     int64_t latency_ns = now - o.start_ns;
-    r_->latency.Add(latency_ns);
-    r_->slot_latency[o.slot].Add(latency_ns);
+    r_->latency.Add(static_cast<double>(latency_ns) / 1e9);
+    r_->slot_latency[o.slot].Add(static_cast<double>(latency_ns) / 1e9);
     int64_t label = -1;
     int64_t votes[8];
     int num_votes = 0;
@@ -415,41 +414,6 @@ class Client {
 };
 
 }  // namespace
-
-void LatencyLog::Add(int64_t ns) {
-  auto v = static_cast<uint64_t>(std::max<int64_t>(0, ns));
-  size_t index = v;
-  if (v >= kSub) {
-    int e = 63 - __builtin_clzll(v);  // >= 7
-    index = kSub + static_cast<size_t>(e - 7) * kSub +
-            static_cast<size_t>((v >> (e - 7)) - kSub);
-  }
-  ++buckets_[index];
-  ++count_;
-}
-
-double LatencyLog::QuantileUs(double q) const {
-  if (count_ == 0) return 0.0;
-  auto rank = static_cast<int64_t>(q * static_cast<double>(count_ - 1) + 0.5);
-  int64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (seen + buckets_[i] <= rank) {
-      seen += buckets_[i];
-      continue;
-    }
-    double low = static_cast<double>(i);
-    double width = 1.0;
-    if (i >= static_cast<size_t>(kSub)) {
-      int shift = static_cast<int>(i / kSub) - 1;
-      width = std::ldexp(1.0, shift);
-      low = static_cast<double>(kSub + i % kSub) * width;
-    }
-    double frac = (static_cast<double>(rank - seen) + 0.5) /
-                  static_cast<double>(buckets_[i]);
-    return (low + frac * width) / 1e3;
-  }
-  return 0.0;
-}
 
 bool RunLoad(const LoadSpec& spec, const std::vector<QueryRow>& rows,
              const AnswerRule& rule, LoadResult* result, std::string* error) {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
+
 namespace perfbench {
 
 /// One query the client can send, with what a correct answer looks like.
@@ -60,25 +62,12 @@ struct LoadSpec {
   uint64_t trace_every = 0;
 };
 
-/// Fixed-memory latency histogram: exact below 128 ns, then 128 buckets per
-/// power of two (under 0.8% wide). Quantiles interpolate inside a bucket.
-/// Its size does not grow with the request count, so the client's memory
-/// does not move `rss_mb` with throughput.
-class LatencyLog {
- public:
-  LatencyLog() : buckets_(kBuckets, 0) {}
-
-  void Add(int64_t ns);
-  int64_t count() const { return count_; }
-  /// Nearest-rank quantile q in [0, 1], microseconds (0 when empty).
-  double QuantileUs(double q) const;
-
- private:
-  static constexpr int kSub = 128;
-  static constexpr size_t kBuckets = 58 * kSub;  // values below 2^64 ns
-  std::vector<int64_t> buckets_;
-  int64_t count_ = 0;
-};
+/// The client's latency histogram, in seconds: 0.8%-wide buckets from
+/// 100 ns to about 100 s. Its size does not grow with the request count, so
+/// the client's memory does not move `rss_mb` with throughput.
+inline rafiki::LatencyHistogram LatencySeconds() {
+  return rafiki::LatencyHistogram(1e-7, 1.008, 2600);
+}
 
 /// Outcome of one phase. Conservation:
 ///   sent == correct + wrong + status_503 + status_504 + other_status +
@@ -102,15 +91,15 @@ struct LoadResult {
   /// Latency of the 200 answers: from the scheduled send in open loop,
   /// from the actual send in closed loop. Whole window and per slot (see
   /// LoadSpec::slot_s).
-  LatencyLog latency;
-  std::vector<LatencyLog> slot_latency;
+  rafiki::LatencyHistogram latency = LatencySeconds();
+  std::vector<rafiki::LatencyHistogram> slot_latency;
   /// Per slot: requests sent, correct answers, correct answers within tau.
   std::vector<int64_t> slot_sent;
   std::vector<int64_t> slot_correct;
   std::vector<int64_t> slot_in_tau;
   double slot_s = 0.0;
   /// Open loop: how late each request left against its schedule.
-  LatencyLog lag;
+  rafiki::LatencyHistogram lag = LatencySeconds();
 
   bool Balanced() const {
     return sent == correct + wrong + status_503 + status_504 + other_status +

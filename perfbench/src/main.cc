@@ -19,6 +19,7 @@
 #include <set>
 #include <string>
 
+#include "trace.h"
 #include "workloads.h"
 
 #ifndef RAFIKI_PERFBENCH_BUILD_TYPE
@@ -46,6 +47,22 @@ std::vector<double> ToMicros(const std::vector<int64_t>& ns) {
   out.reserve(ns.size());
   for (int64_t v : ns) out.push_back(static_cast<double>(v) / 1e3);
   return out;
+}
+
+double ForwardMicros(std::vector<rafiki::nn::Net>& nets, int64_t input_dim,
+                     int64_t batch) {
+  rafiki::Tensor x({batch, input_dim});
+  for (int64_t i = 0; i < x.numel(); ++i) x.data()[i] = 0.01f * (i % 17);
+  std::vector<int64_t> samples;
+  for (int rep = 0; rep < 200; ++rep) {
+    int64_t t0 = NowNs();
+    for (rafiki::nn::Net& net : nets) {
+      rafiki::Tensor y = net.Forward(x, /*train=*/false);
+      if (y.numel() == 0) std::abort();
+    }
+    samples.push_back(NowNs() - t0);
+  }
+  return Quantile(ToMicros(samples), 0.5);
 }
 
 namespace {
@@ -177,8 +194,6 @@ int main(int argc, char** argv) {
   o.seconds = std::strtod(seconds, nullptr);
   o.trace = trace != nullptr && std::strcmp(trace, "1") == 0;
   if (const char* v = Flag(argc, argv, "--trace-out")) o.trace_out = v;
-  if (const char* v = Flag(argc, argv, "--rate")) o.rate = std::strtod(v, nullptr);
-  if (const char* v = Flag(argc, argv, "--closed")) o.closed = std::atoi(v) != 0;
   const char* commit = Flag(argc, argv, "--commit");
   if (!(o.seconds > 0.0) || o.seconds > 120.0) {
     std::fprintf(stderr, "--seconds must be in (0, 120]\n");

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 
@@ -32,7 +33,8 @@ constexpr int64_t kTrialBudget = 16;
 /// thread timing alone, which no 10-run comparison could resolve.
 constexpr int kEpochsPerTrial = 10;
 constexpr int kWorkers = 2;
-constexpr int kSetups = 15;
+/// Set-ups per untraced run (about 5 ms each); setup_s is their median.
+constexpr int kSetups = 50;
 
 /// Set-up product: the training/validation splits and the search space.
 struct TuneInputs {
@@ -78,11 +80,75 @@ std::unique_ptr<TuneInputs> MakeInputs() {
   return in;
 }
 
+/// Notes every trial the master is handed, independently of the study's
+/// trial records, so the ledger can be checked against them, and the time
+/// between consecutive results of each trial (the first from its
+/// proposal). Installed in every run (an uncontended lock per call); the
+/// timing decorator wraps it in traced runs.
+class ProposalLog : public tuning::TrialAdvisor {
+ public:
+  struct Entry {
+    int64_t id = 0;
+    int64_t last_ns = 0;  // proposal, then the latest result
+  };
+
+  explicit ProposalLog(tuning::TrialAdvisor* inner) : inner_(inner) {}
+
+  std::optional<tuning::Trial> Next(const std::string& worker) override {
+    std::optional<tuning::Trial> trial = inner_->Next(worker);
+    if (trial.has_value()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      entries_.push_back({trial->id(), NowNs()});
+    }
+    return trial;
+  }
+  /// Called for every epoch report and once when the trial finishes.
+  void Collect(const std::string& worker, double performance,
+               const tuning::Trial& trial) override {
+    inner_->Collect(worker, performance, trial);
+    int64_t now = NowNs();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Entry& e : entries_) {
+      if (e.id != trial.id()) continue;
+      intervals_s_.push_back(static_cast<double>(now - e.last_ns) / 1e9);
+      e.last_ns = now;
+    }
+  }
+  bool IsBest(const std::string& worker) const override {
+    return inner_->IsBest(worker);
+  }
+  std::optional<tuning::TrialResult> BestTrial() const override {
+    return inner_->BestTrial();
+  }
+  std::vector<tuning::TrialResult> Results() const override {
+    return inner_->Results();
+  }
+  std::string name() const override { return inner_->name(); }
+
+  /// The proposed trials, in proposal order.
+  std::vector<Entry> entries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_;
+  }
+  std::vector<double> result_intervals_s() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return intervals_s_;
+  }
+
+ private:
+  tuning::TrialAdvisor* inner_;
+  mutable std::mutex mu_;
+  std::vector<Entry> entries_;
+  std::vector<double> intervals_s_;
+};
+
 struct StudyRun {
   double wall_s = 0.0;
   tuning::StudyStats stats;
   int64_t proposed = 0;
   int64_t lost = 0;
+  /// Seconds between consecutive results of a trial (see ProposalLog).
+  std::vector<double> result_intervals_s;
 };
 
 StudyRun RunOne(const TuneInputs& in, uint64_t seed, int index,
@@ -90,7 +156,8 @@ StudyRun RunOne(const TuneInputs& in, uint64_t seed, int index,
   tuning::BayesOptOptions bo;
   bo.max_trials = kTrialBudget;
   bo.seed = seed;
-  tuning::BayesOptAdvisor advisor(&in.space, bo);
+  tuning::BayesOptAdvisor bayes_opt(&in.space, bo);
+  ProposalLog advisor(&bayes_opt);
   rafiki::trainer::RealTrainerOptions trainer_options;
   trainer_options.seed = seed;
   rafiki::trainer::RealTrainerFactory factory(&in.train, &in.validation,
@@ -126,23 +193,29 @@ StudyRun RunOne(const TuneInputs& in, uint64_t seed, int index,
   tracer.Record(SpanName::kStudy, t0, t1, 0, 0, 0.0, span);
   run.wall_s = static_cast<double>(t1 - t0) / 1e9;
 
-  // Trial ledger from the study's public outputs: the advisor numbers
-  // trials 0, 1, ... as it proposes them, so proposals are the distinct ids
-  // it issued; a proposed trial without a record was lost.
-  std::set<int64_t> ids;
-  for (const tuning::TrialRecord& t : run.stats.trials) ids.insert(t.trial_id);
-  int64_t max_id = ids.empty() ? -1 : *ids.rbegin();
-  run.proposed = max_id + 1;
+  // Trial ledger: proposals are counted at the advisor, completions are the
+  // study's trial records, and a proposed trial without a record was lost.
+  // The identity fails if a trial is recorded twice, a record has no
+  // proposal, or one id is proposed twice.
+  std::set<int64_t> recorded;
+  for (const tuning::TrialRecord& t : run.stats.trials) {
+    recorded.insert(t.trial_id);
+  }
+  std::set<int64_t> proposed;
+  for (const ProposalLog::Entry& e : advisor.entries()) {
+    ++run.proposed;
+    if (proposed.insert(e.id).second && recorded.count(e.id) == 0) ++run.lost;
+  }
+  run.result_intervals_s = advisor.result_intervals_s();
   int64_t completed = static_cast<int64_t>(run.stats.trials.size());
-  run.lost = run.proposed - static_cast<int64_t>(ids.size());
-  out->Check(static_cast<int64_t>(ids.size()) == completed,
-             "a trial was recorded twice");
   out->Check(run.proposed == completed + run.lost,
-             "ledger proposed == completed + lost does not hold");
+             "ledger proposed " + std::to_string(run.proposed) +
+                 " != completed " + std::to_string(completed) + " + lost " +
+                 std::to_string(run.lost));
   out->Check(completed == kTrialBudget,
              "study finished " + std::to_string(completed) + " of " +
                  std::to_string(kTrialBudget) + " trials");
-  out->Check(static_cast<int64_t>(advisor.Results().size()) == completed,
+  out->Check(static_cast<int64_t>(bayes_opt.Results().size()) == completed,
              "advisor results disagree with the study's trial records");
   out->Check(run.stats.best_performance > 0.0 &&
                  run.stats.best_performance <= 1.0,
@@ -184,21 +257,6 @@ Phase RunStudies(const TuneInputs& in, double seconds, size_t max_studies,
   } while (NowNs() < end && p.studies.size() < max_studies);
   p.usage_after = ReadProcUsage();
   return p;
-}
-
-double ForwardMicros(int64_t batch) {
-  rafiki::Rng rng(1);
-  rafiki::nn::Net net = rafiki::nn::MakeMlp({32, 64, 10}, 0.05f, 0.0f, rng);
-  rafiki::Tensor x({batch, 32});
-  for (int64_t i = 0; i < x.numel(); ++i) x.data()[i] = 0.01f * (i % 17);
-  std::vector<int64_t> samples;
-  for (int rep = 0; rep < 200; ++rep) {
-    int64_t t0 = NowNs();
-    rafiki::Tensor y = net.Forward(x, /*train=*/false);
-    if (y.numel() == 0) std::abort();
-    samples.push_back(NowNs() - t0);
-  }
-  return Quantile(ToMicros(samples), 0.5);
 }
 
 void PerLayer(const Phase& p, Outcome* out) {
@@ -274,8 +332,12 @@ void PerLayer(const Phase& p, Outcome* out) {
   add("cluster.send_p50_us", Quantile(ToMicros(send), 0.5), "us");
   add("cluster.messages", static_cast<double>(send.size()), "count");
   add("cluster.worker_wait_share", wait / worker_ns, "share");
-  add("nn.forward_b1_us", ForwardMicros(1), "us");
-  add("nn.forward_b32_us", ForwardMicros(32), "us");
+  // The tuned model's shape: 32 -> 64 -> 10.
+  rafiki::Rng rng(1);
+  std::vector<rafiki::nn::Net> nets;
+  nets.push_back(rafiki::nn::MakeMlp({32, 64, 10}, 0.05f, 0.0f, rng));
+  add("nn.forward_b1_us", ForwardMicros(nets, 32, 1), "us");
+  add("nn.forward_b32_us", ForwardMicros(nets, 32, 32), "us");
   add("proc.cpu_us_per_op",
       (p.usage_after.cpu_us - p.usage_before.cpu_us) / ops, "us/op");
   add("proc.ctx_switches_per_op",
@@ -312,14 +374,18 @@ void RunTune(const RunOptions& o, Outcome* out) {
     std::vector<double> walls;
     std::vector<double> rates;
     std::vector<double> best;
+    std::vector<double> intervals;
     for (const StudyRun& r : p.studies) {
       walls.push_back(r.wall_s);
       rates.push_back(static_cast<double>(r.stats.total_epochs) / r.wall_s);
       best.push_back(r.stats.best_performance);
+      intervals.insert(intervals.end(), r.result_intervals_s.begin(),
+                       r.result_intervals_s.end());
     }
     double setup_s = Quantile(setups, 0.5);
     double epochs_per_s = Quantile(rates, 0.5);
     double wall_p50 = Quantile(walls, 0.5);
+    double interval_p99 = Quantile(intervals, 0.99);
     double completed = static_cast<double>(out->attempted - out->failed) /
                        std::max<double>(1.0, static_cast<double>(out->attempted));
     double best_acc = Quantile(best, 0.5);
@@ -328,7 +394,7 @@ void RunTune(const RunOptions& o, Outcome* out) {
         {"setup_s", setup_s, "s"},
         {"throughput_per_s", epochs_per_s, "1/s"},
         {"latency_p50_ms", wall_p50 * 1e3, "ms"},
-        {"latency_p99_ms", Quantile(walls, 0.99) * 1e3, "ms"},
+        {"latency_p99_ms", interval_p99 * 1e3, "ms"},
         {"slo_attainment", completed, "share"},
         {"accuracy", best_acc, "share"},
         {"rss_mb", rss, "MB"},
@@ -336,6 +402,10 @@ void RunTune(const RunOptions& o, Outcome* out) {
     out->detail = {
         {"setup_s", setup_s, "s"},
         {"tune_wall_s", wall_p50, "s"},
+        {"tune_wall_max_s", Quantile(walls, 1.0), "s"},
+        {"result_interval_p50_ms", Quantile(intervals, 0.5) * 1e3, "ms"},
+        {"result_interval_p99_ms", interval_p99 * 1e3, "ms"},
+        {"result_intervals", static_cast<double>(intervals.size()), "count"},
         {"tune_epochs_per_s", epochs_per_s, "1/s"},
         {"tune_best_acc", best_acc, "share"},
         {"failed_share", 1.0 - completed, "share"},

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "nn/net.h"
+
 namespace perfbench {
 
 struct RunOptions {
@@ -15,10 +17,6 @@ struct RunOptions {
   bool trace = false;
   /// Where a traced run writes its spans ("" = not written).
   std::string trace_out;
-  /// Sizing overrides (not used by the scored runs): an absolute r* for the
-  /// sine workloads, and a closed loop instead of the sine schedule.
-  double rate = 0.0;
-  bool closed = false;
 };
 
 struct Metric {
@@ -81,6 +79,11 @@ ProcUsage ReadProcUsage();
 
 /// Nanosecond durations of `v` expressed in microseconds.
 std::vector<double> ToMicros(const std::vector<int64_t>& ns);
+
+/// Median over 200 repetitions of one inference-mode Forward of every net
+/// in `nets` on a `batch` x `input_dim` input, in microseconds.
+double ForwardMicros(std::vector<rafiki::nn::Net>& nets, int64_t input_dim,
+                     int64_t batch);
 
 }  // namespace perfbench
 
