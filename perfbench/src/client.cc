@@ -23,6 +23,16 @@
 namespace perfbench {
 namespace {
 
+/// During the drain, a connection that still waits for replies but has read
+/// nothing for this long is sent a blank line, which HTTP/1.1 servers skip
+/// before a request line. The bytes wake the server's event loop for that
+/// connection, so a reply stranded by the reactor's lost cross-thread wakeup
+/// goes out instead of waiting for traffic that no longer comes. Its latency
+/// still counts the wait. The delay is five times tau (50 ms in every
+/// serving workload): by then the runtime has flushed every batch it was
+/// filling, so only stranded replies are still missing.
+constexpr int64_t kNudgeAfterNs = 250'000'000;
+
 struct Outstanding {
   uint32_t row = 0;
   uint16_t slot = 0;
@@ -35,6 +45,9 @@ struct Conn {
   int fd = -1;
   bool dead = false;
   bool want_write = false;
+  bool nudged = false;
+  int64_t last_read_ns = 0;
+  int64_t last_nudge_ns = 0;
   std::string out;
   size_t out_off = 0;
   std::string in;
@@ -197,6 +210,8 @@ class Client {
             }
           }
         }
+      } else {
+        Nudge(now);
       }
       for (Conn& c : conns_) Flush(c);
       bool idle = std::all_of(conns_.begin(), conns_.end(),
@@ -210,7 +225,9 @@ class Client {
         break;
       }
 
-      int64_t wake = now < window_end ? window_end : drain_end;
+      int64_t wake = now < window_end
+                         ? window_end
+                         : std::min(drain_end, now + kNudgeAfterNs);
       if (spec_.open_loop && now < window_end && next < sched.size()) {
         wake = std::min(wake, t0 + sched[next]);
       }
@@ -261,6 +278,19 @@ class Client {
     ++r_->sent;
   }
 
+  void Nudge(int64_t now) {
+    for (Conn& c : conns_) {
+      if (c.dead || c.fifo.empty() ||
+          now - std::max(c.last_read_ns, c.last_nudge_ns) < kNudgeAfterNs) {
+        continue;
+      }
+      c.out += "\r\n";
+      c.nudged = true;
+      c.last_nudge_ns = now;
+      ++r_->drain_nudges;
+    }
+  }
+
   void Flush(Conn& c) {
     while (!c.dead && c.out_off < c.out.size()) {
       ssize_t n = ::send(c.fd, c.out.data() + c.out_off,
@@ -307,6 +337,7 @@ class Client {
       ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
       if (n > 0) {
         c.in.append(buf, static_cast<size_t>(n));
+        c.last_read_ns = NowNs();
         if (static_cast<size_t>(n) < sizeof(buf)) break;
         continue;
       }
@@ -360,6 +391,7 @@ class Client {
     }
     Outstanding o = c.fifo.front();
     c.fifo.pop_front();
+    if (c.nudged) ++r_->answers_after_nudge;
     Tracer& tracer = GlobalTracer();
     if (spec_.trace_every != 0 && o.rid % spec_.trace_every == 0) {
       tracer.Record(SpanName::kClientRequest, o.start_ns, now, o.rid, 0,

@@ -100,6 +100,12 @@ struct LoadResult {
   double slot_s = 0.0;
   /// Open loop: how late each request left against its schedule.
   rafiki::LatencyHistogram lag = LatencySeconds();
+  /// Blank lines sent to quiet connections during the drain (see client.cc),
+  /// and replies read on a connection after it was nudged. The nudge delay
+  /// is well past tau, so each such reply had been stranded by the server's
+  /// lost wakeup.
+  int64_t drain_nudges = 0;
+  int64_t answers_after_nudge = 0;
 
   bool Balanced() const {
     return sent == correct + wrong + status_503 + status_504 + other_status +

@@ -513,6 +513,11 @@ void AddLedger(const Phase& p, const net::HttpServerStats& server,
   add("client.other_status", static_cast<double>(l.other_status));
   add("client.transport_errors", static_cast<double>(l.transport_errors));
   add("client.unanswered", static_cast<double>(l.unanswered));
+  // The same stall at the window's end: replies that went out only after
+  // the drain nudged their connection (see client.cc).
+  add("client.drain_nudges", static_cast<double>(l.drain_nudges));
+  add("client.answers_after_nudge",
+      static_cast<double>(l.answers_after_nudge));
   add("runtime.arrived", static_cast<double>(m.arrived));
   add("runtime.processed", static_cast<double>(m.processed));
   add("runtime.dropped", static_cast<double>(m.dropped));
