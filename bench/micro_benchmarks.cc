@@ -938,3 +938,16 @@ BENCHMARK(BM_EnsembleVote);
 
 }  // namespace
 }  // namespace rafiki
+
+// BENCHMARK_MAIN plus the GEMM path in the JSON context, so
+// scripts/compare_benches.py can tell runs on different paths apart.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "gemm_path", rafiki::kernels::GemmPathName(
+                       rafiki::kernels::DispatchedGemmPath()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -3,26 +3,45 @@
 
 Usage: scripts/compare_benches.py BASELINE.json CURRENT.json [--threshold PCT]
 
-Prints a per-benchmark delta table plus a summary of regressions beyond the
-threshold (default 10%). Exits 0 always — the CI bench job is a report, not
-a gate: single-run micro-benchmarks on shared runners are too noisy to
-block merges on, but the table in the job log makes drift visible.
+Each benchmark is compared on one headline figure:
+  - `rps` or `items_per_second` when it reports one (higher is better);
+  - otherwise `real_time` for `*/real_time` benches (lower is better);
+    their `cpu_time` is only the main thread's share, so it is never used;
+  - otherwise `cpu_time` (lower is better).
+
+Both files' `num_cpus` and `gemm_path` are printed first. When they differ
+the runs come from different hosts (or GEMM paths) and no deltas are
+printed. Otherwise the script prints a per-benchmark delta table plus a
+summary of regressions beyond the threshold (default 10%). Exits 0 always:
+the CI bench job is a report, not a gate. Single-run micro-benchmarks on
+shared runners are too noisy to block merges on, but the table in the job
+log makes drift visible.
 """
 
 import argparse
 import json
 import sys
 
+HOST_KEYS = ("num_cpus", "gemm_path")
+
+
+def headline(bench):
+    """(figure name, value, higher_is_better) for one benchmark entry."""
+    for key in ("rps", "items_per_second"):
+        if key in bench:
+            return key, bench[key], True
+    if bench["name"].endswith("/real_time"):
+        return "real_time", bench["real_time"], False
+    return "cpu_time", bench["cpu_time"], False
+
 
 def load(path):
     with open(path) as f:
         data = json.load(f)
-    out = {}
-    for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = b.get("cpu_time", b.get("real_time"))
-    return out
+    benches = {b["name"]: headline(b) for b in data.get("benchmarks", [])
+               if b.get("run_type") != "aggregate"}
+    context = data.get("context", {})
+    return {k: context.get(k) for k in HOST_KEYS}, benches
 
 
 def main():
@@ -30,38 +49,52 @@ def main():
     parser.add_argument("baseline")
     parser.add_argument("current")
     parser.add_argument("--threshold", type=float, default=10.0,
-                        help="percent slowdown considered a regression")
+                        help="percent worsening considered a regression")
     args = parser.parse_args()
 
-    base = load(args.baseline)
-    curr = load(args.current)
+    base_host, base = load(args.baseline)
+    curr_host, curr = load(args.current)
+    for key in HOST_KEYS:
+        print(f"{key}: baseline {base_host[key]}, current {curr_host[key]}")
+    if base_host != curr_host:
+        print("different hosts, not compared")
+        return 0
+    print()
 
     names = sorted(set(base) | set(curr))
-    width = max((len(n) for n in names), default=4)
-    print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  {'delta':>8}")
-    print("-" * (width + 40))
+    width = max((len(n) for n in names), default=9)
+    print(f"{'benchmark':<{width}}  {'figure':<16}  {'baseline':>14}  "
+          f"{'current':>14}  {'change':>8}")
+    print("-" * (width + 62))
     regressions = []
     for name in names:
         b, c = base.get(name), curr.get(name)
-        if b is None:
-            print(f"{name:<{width}}  {'(new)':>12}  {c:>12.1f}")
+        if b is None or c is None:
+            key, value, _ = b or c
+            cols = (f"{'(new)':>14}  {value:>14.1f}" if b is None
+                    else f"{value:>14.1f}  {'(gone)':>14}")
+            print(f"{name:<{width}}  {key:<16}  {cols}")
             continue
-        if c is None:
-            print(f"{name:<{width}}  {b:>12.1f}  {'(gone)':>12}")
+        key, bv, higher_better = b
+        if c[0] != key:
+            print(f"{name:<{width}}  {key:<16}  (figure is now {c[0]})")
             continue
-        delta = (c - b) / b * 100.0 if b else 0.0
+        cv = c[1]
+        change = (cv - bv) / bv * 100.0 if bv else 0.0
+        worse = -change if higher_better else change
         marker = ""
-        if delta > args.threshold:
+        if worse > args.threshold:
             marker = "  <-- regression"
-            regressions.append((name, delta))
-        print(f"{name:<{width}}  {b:>12.1f}  {c:>12.1f}  {delta:>+7.1f}%{marker}")
+            regressions.append((name, key, change))
+        print(f"{name:<{width}}  {key:<16}  {bv:>14.1f}  {cv:>14.1f}  "
+              f"{change:>+7.1f}%{marker}")
 
     print()
     if regressions:
-        print(f"{len(regressions)} benchmark(s) slower than baseline "
-              f"by more than {args.threshold:.0f}% (times in ns, non-blocking):")
-        for name, delta in regressions:
-            print(f"  {name}: {delta:+.1f}%")
+        print(f"{len(regressions)} benchmark(s) worse than baseline by more "
+              f"than {args.threshold:.0f}% (non-blocking):")
+        for name, key, change in regressions:
+            print(f"  {name}: {key} {change:+.1f}%")
     else:
         print(f"No regressions beyond {args.threshold:.0f}%.")
     return 0

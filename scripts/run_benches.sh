@@ -10,10 +10,12 @@ build_dir="${1:-$repo_root/build}"
 filter="${2:-.}"
 
 # RAFIKI_NATIVE: the snapshot should measure the best codegen this host can
-# run, not the portable-baseline ISA — kernel-level wins (blocked GEMM,
-# SIMD-reduction Cholesky) are invisible at generic -O2/-O3 vector widths.
-# Comparisons stay apples-to-apples because the checked-in baseline is
-# produced by this same script.
+# run, not the portable-baseline ISA. GEMM picks its AVX2+FMA path by CPUID
+# in every build (recorded as `gemm_path` in the JSON context), but the
+# non-GEMM loops (the SIMD-reduction Cholesky, SGD) only get wide vectors
+# from this flag. Comparisons stay apples-to-apples because the checked-in
+# baseline is produced by this same script on a host with the same
+# `num_cpus` and `gemm_path` (compare_benches.py refuses the rest).
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
   -DRAFIKI_NATIVE=ON
 cmake --build "$build_dir" -j --target micro_benchmarks

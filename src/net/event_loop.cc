@@ -197,18 +197,22 @@ int EventLoop::PollOnce(double max_wait_seconds) {
     n = 0;
   }
 
+  // Drain the wake eventfd before the begin hook reads its mailboxes. A
+  // Wake() from a producer that hands off after the hook has looked then
+  // stays pending for the next wait instead of being consumed here.
+  for (int i = 0; i < n; ++i) {
+    if (events_[i].data.u64 != kWakeToken) continue;
+    uint64_t drain;
+    while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
+    }
+  }
   if (tick_begin_hook_) tick_begin_hook_();
   DrainPosted();
 
   int dispatched = 0;
   for (int i = 0; i < n; ++i) {
     uint64_t token = events_[i].data.u64;
-    if (token == kWakeToken) {
-      uint64_t drain;
-      while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-      }
-      continue;
-    }
+    if (token == kWakeToken) continue;
     int fd = static_cast<int>(token & 0xffffffffu);
     auto gen = static_cast<uint32_t>(token >> 32);
     if (static_cast<size_t>(fd) >= watchers_.size()) continue;

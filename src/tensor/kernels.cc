@@ -9,22 +9,31 @@
 namespace rafiki::kernels {
 namespace {
 
-// Blocking parameters, chosen empirically for baseline x86-64 (SSE2) codegen
-// on this repo's reference hardware: a short-and-wide 2 x 32 register tile
-// auto-vectorizes to eight 128-bit accumulator strips per row and beat
-// squarer tiles (4x8, 4x16, 6x8) by 1.3-6x in a sweep. The packed B
-// micro-panel (kKc x kNr floats = 32 KB) stays L1/L2-hot across a row
-// sweep; the packed A panel (<= kMc x kKc floats = 128 KB) stays in L2.
+// Blocking parameters, shared by both GEMM paths and chosen empirically on
+// this repo's reference hardware. Under baseline x86-64 (SSE2) codegen the
+// short-and-wide 2 x 32 register tile auto-vectorizes to eight 128-bit
+// accumulator strips per row and beat squarer tiles (4x8, 4x16, 6x8) by
+// 1.3-6x in a sweep; under AVX2+FMA it is four 256-bit FMA strips per row,
+// and no other tile won across the serving and training shapes (DESIGN.md
+// section 8). The packed B micro-panel (kKc x kNr floats = 32 KB) stays
+// L1/L2-hot across a row sweep; the packed A panel (<= kMc x kKc floats =
+// 128 KB) stays in L2.
 constexpr int64_t kMr = 2;
 constexpr int64_t kNr = 32;
 constexpr int64_t kKc = 256;
 constexpr int64_t kMc = 128;
 
+// PackA, PackB, MicroKernel and GemmChunk are written once and forced inline
+// into each path's entry point below, so every path compiles its own copy of
+// the whole body for its own ISA.
+
 /// Packs an mr x kc block of A (general strides) into an interleaved panel:
 /// buf[l * kMr + i] = A(row0 + i, col0 + l). Rows beyond mr are
 /// zero-padded so the micro-kernel always runs the full kMr height.
-void PackA(const float* a, int64_t row_stride, int64_t col_stride,
-           int64_t row0, int64_t mr, int64_t col0, int64_t kc, float* buf) {
+[[gnu::always_inline]] inline void PackA(const float* a, int64_t row_stride,
+                                         int64_t col_stride, int64_t row0,
+                                         int64_t mr, int64_t col0, int64_t kc,
+                                         float* buf) {
   for (int64_t l = 0; l < kc; ++l) {
     const float* src = a + (col0 + l) * col_stride + row0 * row_stride;
     float* dst = buf + l * kMr;
@@ -37,8 +46,10 @@ void PackA(const float* a, int64_t row_stride, int64_t col_stride,
 /// Packs a kc x nr block of B (general strides) into an interleaved panel:
 /// buf[l * kNr + j] = B(row0 + l, col0 + j), zero-padded to the full kNr
 /// width.
-void PackB(const float* b, int64_t row_stride, int64_t col_stride,
-           int64_t row0, int64_t kc, int64_t col0, int64_t nr, float* buf) {
+[[gnu::always_inline]] inline void PackB(const float* b, int64_t row_stride,
+                                         int64_t col_stride, int64_t row0,
+                                         int64_t kc, int64_t col0, int64_t nr,
+                                         float* buf) {
   for (int64_t l = 0; l < kc; ++l) {
     const float* src = b + (row0 + l) * row_stride + col0 * col_stride;
     float* dst = buf + l * kNr;
@@ -51,8 +62,10 @@ void PackB(const float* b, int64_t row_stride, int64_t col_stride,
 /// kMr x kNr register-tiled micro-kernel: accumulates a_panel * b_panel over
 /// kc depth steps and adds the tile into C. Both panels are contiguous and
 /// interleaved, so every inner loop is unit-stride and auto-vectorizes.
-void MicroKernel(const float* a_panel, const float* b_panel, int64_t kc,
-                 float* c, int64_t ldc, int64_t mr, int64_t nr) {
+[[gnu::always_inline]] inline void MicroKernel(const float* a_panel,
+                                               const float* b_panel, int64_t kc,
+                                               float* c, int64_t ldc,
+                                               int64_t mr, int64_t nr) {
   float acc[kMr][kNr] = {};
   for (int64_t l = 0; l < kc; ++l) {
     const float* bp = b_panel + l * kNr;
@@ -72,9 +85,10 @@ void MicroKernel(const float* a_panel, const float* b_panel, int64_t kc,
 /// for A and B (which is how the transpose variants are expressed). Each C
 /// element is accumulated in ascending-k order independent of the row
 /// partition, so the result is bit-identical for any thread count.
-void GemmChunk(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
-               int64_t b_rs, int64_t b_cs, float* c, int64_t row_begin,
-               int64_t row_end, int64_t k, int64_t n) {
+[[gnu::always_inline]] inline void GemmChunk(
+    const float* a, int64_t a_rs, int64_t a_cs, const float* b, int64_t b_rs,
+    int64_t b_cs, float* c, int64_t row_begin, int64_t row_end, int64_t k,
+    int64_t n) {
   // Reused packing scratch: grows once per thread to the blocking maximum
   // and is fully overwritten by PackA/PackB before each use, so small GEMMs
   // (one Linear step in a tuning trial) pay no allocation or zero-fill.
@@ -107,14 +121,38 @@ void GemmChunk(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
   }
 }
 
-void GemmDriver(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
-                int64_t b_rs, int64_t b_cs, float* c, int64_t m, int64_t k,
-                int64_t n, ThreadPool* pool) {
+// The paths' entry points: each is GemmChunk compiled for its ISA.
+void GemmChunkPortable(const float* a, int64_t a_rs, int64_t a_cs,
+                       const float* b, int64_t b_rs, int64_t b_cs, float* c,
+                       int64_t row_begin, int64_t row_end, int64_t k,
+                       int64_t n) {
+  GemmChunk(a, a_rs, a_cs, b, b_rs, b_cs, c, row_begin, row_end, k, n);
+}
+
+// Not target_clones/ifunc: with GCC 12 a target_clones binary built with
+// -fsanitize=thread segfaults at start-up, while this explicit pick runs
+// clean under every sanitizer.
+#if defined(__x86_64__)
+[[gnu::target("avx2,fma")]] void GemmChunkAvx2Fma(
+    const float* a, int64_t a_rs, int64_t a_cs, const float* b, int64_t b_rs,
+    int64_t b_cs, float* c, int64_t row_begin, int64_t row_end, int64_t k,
+    int64_t n) {
+  GemmChunk(a, a_rs, a_cs, b, b_rs, b_cs, c, row_begin, row_end, k, n);
+}
+#endif
+
+void GemmDriver(GemmPath path, const float* a, int64_t a_rs, int64_t a_cs,
+                const float* b, int64_t b_rs, int64_t b_cs, float* c,
+                int64_t m, int64_t k, int64_t n, ThreadPool* pool) {
   if (m <= 0 || n <= 0 || k <= 0) return;
+  auto* chunk = &GemmChunkPortable;
+#if defined(__x86_64__)
+  if (path == GemmPath::kAvx2Fma) chunk = &GemmChunkAvx2Fma;
+#endif
   int64_t flops = 2 * m * k * n;
   if (pool == nullptr) pool = &ThreadPool::Global();
   if (flops < kGemmParallelMinFlops || pool->num_threads() <= 1) {
-    GemmChunk(a, a_rs, a_cs, b, b_rs, b_cs, c, 0, m, k, n);
+    chunk(a, a_rs, a_cs, b, b_rs, b_cs, c, 0, m, k, n);
     return;
   }
   // Row-block parallelism: every thread owns a contiguous slice of C rows.
@@ -123,31 +161,73 @@ void GemmDriver(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
       kMr, (m + pool->num_threads() - 1) / pool->num_threads());
   pool->ParallelFor(0, m, grain,
                     [&](int64_t row_begin, int64_t row_end) {
-                      GemmChunk(a, a_rs, a_cs, b, b_rs, b_cs, c, row_begin,
-                                row_end, k, n);
+                      chunk(a, a_rs, a_cs, b, b_rs, b_cs, c, row_begin,
+                            row_end, k, n);
                     });
+}
+
+void Gemm(GemmPath path, GemmOp op, const float* a, const float* b, float* c,
+          int64_t m, int64_t k, int64_t n, ThreadPool* pool) {
+  switch (op) {
+    case GemmOp::kNN:
+      GemmDriver(path, a, /*a_rs=*/k, /*a_cs=*/1, b, /*b_rs=*/n, /*b_cs=*/1,
+                 c, m, k, n, pool);
+      return;
+    case GemmOp::kTN:
+      // A is stored [k, m]; element (i, l) of the logical A^T is a[l * m + i].
+      GemmDriver(path, a, /*a_rs=*/1, /*a_cs=*/m, b, /*b_rs=*/n, /*b_cs=*/1,
+                 c, m, k, n, pool);
+      return;
+    case GemmOp::kNT:
+      // B is stored [n, k]; element (l, j) of the logical B^T is b[j * k + l].
+      GemmDriver(path, a, /*a_rs=*/k, /*a_cs=*/1, b, /*b_rs=*/1, /*b_cs=*/k,
+                 c, m, k, n, pool);
+      return;
+  }
 }
 
 }  // namespace
 
+bool GemmPathRunnable(GemmPath path) {
+  if (path == GemmPath::kPortable) return true;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+GemmPath DispatchedGemmPath() {
+  static const GemmPath path = GemmPathRunnable(GemmPath::kAvx2Fma)
+                                   ? GemmPath::kAvx2Fma
+                                   : GemmPath::kPortable;
+  return path;
+}
+
+const char* GemmPathName(GemmPath path) {
+  return path == GemmPath::kAvx2Fma ? "avx2+fma" : "portable";
+}
+
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, ThreadPool* pool) {
-  GemmDriver(a, /*a_rs=*/k, /*a_cs=*/1, b, /*b_rs=*/n, /*b_cs=*/1, c, m, k, n,
-             pool);
+  Gemm(DispatchedGemmPath(), GemmOp::kNN, a, b, c, m, k, n, pool);
 }
 
 void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, ThreadPool* pool) {
-  // A is stored [k, m]; element (i, l) of the logical A^T is a[l * m + i].
-  GemmDriver(a, /*a_rs=*/1, /*a_cs=*/m, b, /*b_rs=*/n, /*b_cs=*/1, c, m, k, n,
-             pool);
+  Gemm(DispatchedGemmPath(), GemmOp::kTN, a, b, c, m, k, n, pool);
 }
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, ThreadPool* pool) {
-  // B is stored [n, k]; element (l, j) of the logical B^T is b[j * k + l].
-  GemmDriver(a, /*a_rs=*/k, /*a_cs=*/1, b, /*b_rs=*/1, /*b_cs=*/k, c, m, k, n,
-             pool);
+  Gemm(DispatchedGemmPath(), GemmOp::kNT, a, b, c, m, k, n, pool);
+}
+
+void GemmOnPathForTesting(GemmPath path, GemmOp op, const float* a,
+                          const float* b, float* c, int64_t m, int64_t k,
+                          int64_t n, ThreadPool* pool) {
+  Gemm(path, op, a, b, c, m, k, n, pool);
 }
 
 void Im2Col(const float* src, int64_t channels, int64_t height, int64_t width,

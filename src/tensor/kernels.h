@@ -16,8 +16,26 @@ class ThreadPool;
 /// loops the compiler auto-vectorizes. Work is split across the thread pool
 /// by row blocks of C; each output element is produced by exactly one chunk
 /// with a fixed k-accumulation order, so results are bit-identical for any
-/// thread count (including the serial small-problem fallback).
+/// thread count (including the serial small-problem fallback) and for any
+/// number of other rows in the same call.
 namespace kernels {
+
+/// The builds of the GEMM packing and micro-kernel code. `kPortable` is
+/// compiled for the target's baseline ISA (SSE2 on x86-64); `kAvx2Fma` is
+/// the same source compiled for AVX2+FMA and exists on x86-64 only. The two
+/// agree to rounding, not bit for bit: FMA rounds once per multiply-add.
+enum class GemmPath { kPortable, kAvx2Fma };
+
+/// Whether this build and CPU can run `path` (CPUID for `kAvx2Fma`).
+bool GemmPathRunnable(GemmPath path);
+
+/// The path every GEMM below runs on: AVX2+FMA when the CPU has both, else
+/// portable. Picked by CPUID at the first call and fixed for the process;
+/// no build option or setting selects it.
+GemmPath DispatchedGemmPath();
+
+/// "portable" or "avx2+fma".
+const char* GemmPathName(GemmPath path);
 
 /// All three GEMM variants *accumulate*: C[m,n] += A·B. Pass a
 /// zero-initialized C for a plain product; pass an existing gradient buffer
@@ -36,6 +54,16 @@ void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
 /// C[m,n] += A[m,k] * B[n,k]^T.
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, ThreadPool* pool = nullptr);
+
+/// The three variants above, by name.
+enum class GemmOp { kNN, kTN, kNT };
+
+/// Test hook, not a setting: runs GEMM variant `op` on `path` instead of the
+/// dispatched one, so tests cover the portable path on CPUs where dispatch
+/// picks AVX2+FMA. `path` must satisfy `GemmPathRunnable`.
+void GemmOnPathForTesting(GemmPath path, GemmOp op, const float* a,
+                          const float* b, float* c, int64_t m, int64_t k,
+                          int64_t n, ThreadPool* pool = nullptr);
 
 /// Multiplications below which GEMM stays on the calling thread. Exposed so
 /// benchmarks/tests can reason about the serial fallback.

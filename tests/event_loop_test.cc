@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <thread>
@@ -263,6 +264,25 @@ TEST(EventLoopTest, TickHooksBracketDispatch) {
   fds.MakeReadable(fds.a);
   loop.PollOnce(0.5);
   EXPECT_EQ(trace, (std::vector<std::string>{"begin", "fd", "end"}));
+}
+
+TEST(EventLoopTest, WakeDuringTickBeginHookWakesNextPoll) {
+  // A producer that hands work to the begin hook's mailbox and calls Wake()
+  // just after the hook has looked must still wake the next wait. The
+  // hook's own Wake() stands in for that producer.
+  EventLoop loop;
+  int ticks = 0;
+  loop.SetTickBeginHook([&] {
+    if (++ticks == 1) loop.Wake();
+  });
+  loop.Wake();
+  loop.PollOnce(0.5);
+  auto start = std::chrono::steady_clock::now();
+  loop.PollOnce(10.0);
+  std::chrono::duration<double> waited =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(ticks, 2);
+  EXPECT_LT(waited.count(), 5.0) << "the hook-window Wake() was consumed";
 }
 
 TEST(EventLoopTest, StopFromTimerEndsRun) {

@@ -512,6 +512,9 @@ TEST(InferenceRuntimeTest, GenerousDeadlineDoesNotExpire) {
   RuntimeOptions options;
   options.tau = 30.0;  // nothing plausibly waits this long
   options.expire_overdue = true;
+  // B = {1}: greedy dispatches the lone request at once instead of holding
+  // it for a fuller batch until tau - delta.
+  options.batch_sizes = {1};
   ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
   auto submitted = runtime.Submit("j", OneHot(4, 1));
   ASSERT_TRUE(submitted.ok());

@@ -1,12 +1,17 @@
 // Parity tests for the blocked GEMM kernels against a straightforward
-// triple-loop reference, across rectangular, degenerate and
-// non-power-of-two shapes, plus bit-stability across thread counts and the
-// im2col/col2im pair.
+// triple-loop reference, across rectangular, degenerate, non-power-of-two
+// and serving shapes, plus bit-stability across thread counts and the
+// im2col/col2im pair. The GEMM cases run on every path this CPU can run
+// (portable always, AVX2+FMA when CPUID reports it), not only the one
+// dispatch picks.
 
 #include "tensor/kernels.h"
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,11 +23,12 @@
 namespace rafiki {
 namespace {
 
-enum class Variant { kNN, kTN, kNT };
+using kernels::GemmOp;
+using kernels::GemmPath;
 
 /// Reference GEMM with double accumulation; `a` and `b` are stored exactly
 /// as the kernels expect for each variant (TN: a is [k,m]; NT: b is [n,k]).
-std::vector<float> ReferenceGemm(Variant v, const std::vector<float>& a,
+std::vector<float> ReferenceGemm(GemmOp op, const std::vector<float>& a,
                                  const std::vector<float>& b, int64_t m,
                                  int64_t k, int64_t n) {
   std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
@@ -30,9 +36,9 @@ std::vector<float> ReferenceGemm(Variant v, const std::vector<float>& a,
     for (int64_t j = 0; j < n; ++j) {
       double s = 0.0;
       for (int64_t l = 0; l < k; ++l) {
-        float av = v == Variant::kTN ? a[static_cast<size_t>(l * m + i)]
+        float av = op == GemmOp::kTN ? a[static_cast<size_t>(l * m + i)]
                                      : a[static_cast<size_t>(i * k + l)];
-        float bv = v == Variant::kNT ? b[static_cast<size_t>(j * k + l)]
+        float bv = op == GemmOp::kNT ? b[static_cast<size_t>(j * k + l)]
                                      : b[static_cast<size_t>(l * n + j)];
         s += static_cast<double>(av) * bv;
       }
@@ -48,16 +54,21 @@ std::vector<float> RandomVec(size_t n, Rng& rng) {
   return v;
 }
 
-void RunGemm(Variant v, const float* a, const float* b, float* c, int64_t m,
-             int64_t k, int64_t n, ThreadPool* pool = nullptr) {
-  switch (v) {
-    case Variant::kNN: kernels::GemmNN(a, b, c, m, k, n, pool); break;
-    case Variant::kTN: kernels::GemmTN(a, b, c, m, k, n, pool); break;
-    case Variant::kNT: kernels::GemmNT(a, b, c, m, k, n, pool); break;
+class GemmParityTest
+    : public ::testing::TestWithParam<std::tuple<GemmPath, GemmOp>> {
+ protected:
+  void SetUp() override {
+    if (!kernels::GemmPathRunnable(path()))
+      GTEST_SKIP() << "this CPU cannot run the "
+                   << kernels::GemmPathName(path()) << " path";
   }
-}
-
-class GemmParityTest : public ::testing::TestWithParam<Variant> {};
+  GemmPath path() const { return std::get<0>(GetParam()); }
+  GemmOp op() const { return std::get<1>(GetParam()); }
+  void RunGemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+               int64_t n, ThreadPool* pool = nullptr) const {
+    kernels::GemmOnPathForTesting(path(), op(), a, b, c, m, k, n, pool);
+  }
+};
 
 TEST_P(GemmParityTest, MatchesReferenceAcrossShapes) {
   struct ShapeCase {
@@ -67,14 +78,16 @@ TEST_P(GemmParityTest, MatchesReferenceAcrossShapes) {
       {1, 1, 1},    {1, 7, 1},   {1, 7, 5},    {5, 3, 1},
       {17, 23, 5},  {33, 29, 31}, {64, 64, 64}, {31, 127, 65},
       {2, 300, 3},  {96, 64, 96},
+      // The serving ensemble's widest layer at full and single-row batch.
+      {32, 256, 2048}, {1, 256, 2048},
   };
   Rng rng(42);
   for (const ShapeCase& s : cases) {
     auto a = RandomVec(static_cast<size_t>(s.m * s.k), rng);
     auto b = RandomVec(static_cast<size_t>(s.k * s.n), rng);
     std::vector<float> c(static_cast<size_t>(s.m * s.n), 0.0f);
-    RunGemm(GetParam(), a.data(), b.data(), c.data(), s.m, s.k, s.n);
-    auto ref = ReferenceGemm(GetParam(), a, b, s.m, s.k, s.n);
+    RunGemm(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    auto ref = ReferenceGemm(op(), a, b, s.m, s.k, s.n);
     float max_err = 0.0f;
     for (size_t i = 0; i < c.size(); ++i)
       max_err = std::max(max_err, std::fabs(c[i] - ref[i]));
@@ -88,8 +101,8 @@ TEST_P(GemmParityTest, AccumulatesIntoExistingC) {
   auto a = RandomVec(static_cast<size_t>(m * k), rng);
   auto b = RandomVec(static_cast<size_t>(k * n), rng);
   std::vector<float> c(static_cast<size_t>(m * n), 2.5f);
-  RunGemm(GetParam(), a.data(), b.data(), c.data(), m, k, n);
-  auto ref = ReferenceGemm(GetParam(), a, b, m, k, n);
+  RunGemm(a.data(), b.data(), c.data(), m, k, n);
+  auto ref = ReferenceGemm(op(), a, b, m, k, n);
   for (size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(c[i], ref[i] + 2.5f, 1e-4f);
 }
@@ -105,22 +118,61 @@ TEST_P(GemmParityTest, BitStableAcrossThreadCounts) {
   ThreadPool wide(4);
   std::vector<float> c1(static_cast<size_t>(m * n), 0.0f);
   std::vector<float> c4(static_cast<size_t>(m * n), 0.0f);
-  RunGemm(GetParam(), a.data(), b.data(), c1.data(), m, k, n, &serial);
-  RunGemm(GetParam(), a.data(), b.data(), c4.data(), m, k, n, &wide);
+  RunGemm(a.data(), b.data(), c1.data(), m, k, n, &serial);
+  RunGemm(a.data(), b.data(), c4.data(), m, k, n, &wide);
   EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, GemmParityTest,
-                         ::testing::Values(Variant::kNN, Variant::kTN,
-                                           Variant::kNT),
-                         [](const ::testing::TestParamInfo<Variant>& info) {
-                           switch (info.param) {
-                             case Variant::kNN: return "NN";
-                             case Variant::kTN: return "TN";
-                             case Variant::kNT: return "NT";
-                           }
-                           return "unknown";
-                         });
+const char* OpName(GemmOp op) {
+  switch (op) {
+    case GemmOp::kNN: return "NN";
+    case GemmOp::kTN: return "TN";
+    case GemmOp::kNT: return "NT";
+  }
+  return "unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPathsAndVariants, GemmParityTest,
+    ::testing::Combine(::testing::Values(GemmPath::kPortable,
+                                         GemmPath::kAvx2Fma),
+                       ::testing::Values(GemmOp::kNN, GemmOp::kTN,
+                                         GemmOp::kNT)),
+    [](const ::testing::TestParamInfo<std::tuple<GemmPath, GemmOp>>& info) {
+      bool avx = std::get<0>(info.param) == GemmPath::kAvx2Fma;
+      return std::string(avx ? "Avx2Fma_" : "Portable_") +
+             OpName(std::get<1>(info.param));
+    });
+
+TEST(GemmDispatchTest, PicksAvx2FmaExactlyWhenTheCpuHasIt) {
+  EXPECT_TRUE(kernels::GemmPathRunnable(GemmPath::kPortable));
+  GemmPath want = kernels::GemmPathRunnable(GemmPath::kAvx2Fma)
+                      ? GemmPath::kAvx2Fma
+                      : GemmPath::kPortable;
+  EXPECT_EQ(kernels::DispatchedGemmPath(), want);
+}
+
+TEST(GemmDispatchTest, PublicVariantsRunTheDispatchedPath) {
+  int64_t m = 17, k = 23, n = 40;
+  Rng rng(9);
+  auto a = RandomVec(static_cast<size_t>(m * k), rng);
+  auto b = RandomVec(static_cast<size_t>(k * n), rng);
+  using GemmFn = void (*)(const float*, const float*, float*, int64_t,
+                          int64_t, int64_t, ThreadPool*);
+  const std::pair<GemmOp, GemmFn> variants[] = {{GemmOp::kNN, kernels::GemmNN},
+                                                {GemmOp::kTN, kernels::GemmTN},
+                                                {GemmOp::kNT, kernels::GemmNT}};
+  for (const auto& [op, gemm] : variants) {
+    std::vector<float> got(static_cast<size_t>(m * n), 0.0f);
+    std::vector<float> want(got.size(), 0.0f);
+    gemm(a.data(), b.data(), got.data(), m, k, n, nullptr);
+    kernels::GemmOnPathForTesting(kernels::DispatchedGemmPath(), op, a.data(),
+                                  b.data(), want.data(), m, k, n);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)))
+        << OpName(op);
+  }
+}
 
 TEST(TensorMatMulTest, PublicApiUsesKernels) {
   Rng rng(11);
@@ -129,7 +181,7 @@ TEST(TensorMatMulTest, PublicApiUsesKernels) {
   Tensor c = MatMul(a, b);
   std::vector<float> av(a.data(), a.data() + a.numel());
   std::vector<float> bv(b.data(), b.data() + b.numel());
-  auto ref = ReferenceGemm(Variant::kNN, av, bv, 33, 29, 31);
+  auto ref = ReferenceGemm(GemmOp::kNN, av, bv, 33, 29, 31);
   for (int64_t i = 0; i < c.numel(); ++i)
     EXPECT_NEAR(c.at(i), ref[static_cast<size_t>(i)], 1e-4f);
 }

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "common/rng.h"
@@ -65,6 +66,31 @@ TEST(MlpTest, GradientCheckThroughReLU) {
   Net net = MakeMlp({3, 6, 3}, 0.4f, /*dropout=*/0.0f, rng);
   Tensor x = Tensor::Randn({4, 3}, rng);
   CheckParamGradients(net, x, {0, 1, 2, 0}, 2e-2f);
+}
+
+TEST(MlpTest, RowAnswerDoesNotDependOnBatchComposition) {
+  // A served answer must not depend on which batch its request landed in:
+  // every row of a batched inference forward equals that row's own
+  // single-row forward bit for bit, on the dispatched GEMM path. The shapes
+  // are the serving ensemble's (256 -> {512, 1024, 2048} -> 10), so the
+  // larger batches cross the GEMM's parallel threshold and split by rows.
+  constexpr int64_t kIn = 256, kOut = 10;
+  Rng rng(21);
+  for (int64_t hidden : {512, 1024, 2048}) {
+    Net net = MakeMlp({kIn, hidden, kOut}, 0.05f, /*dropout=*/0.0f, rng);
+    for (int64_t b : {1, 3, 17, 32}) {
+      Tensor x = Tensor::Randn({b, kIn}, rng);
+      Tensor batched = net.Forward(x, /*train=*/false);
+      for (int64_t r = 0; r < b; ++r) {
+        Tensor row({1, kIn});
+        std::memcpy(row.data(), x.data() + r * kIn, kIn * sizeof(float));
+        Tensor single = net.Forward(row, /*train=*/false);
+        EXPECT_EQ(0, std::memcmp(single.data(), batched.data() + r * kOut,
+                                 kOut * sizeof(float)))
+            << "hidden " << hidden << ", batch " << b << ", row " << r;
+      }
+    }
+  }
 }
 
 TEST(Conv2DTest, GradientCheck) {
