@@ -7,13 +7,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <thread>
 
 #include "common/logging.h"
-#include "common/mpsc_ring.h"
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "trainer/real_trainer.h"
@@ -339,105 +335,6 @@ void BM_MessageBusRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MessageBusRoundTrip);
-
-// The serving submit queue head to head: the lock-free Vyukov MPSC ring +
-// futex doorbell vs the mutex+condvar deque it replaced in
-// InferenceRuntime. Arg is the producer-thread count; each run pumps a
-// fixed item count through a capacity-1024 queue with the consumer
-// sleeping on empty, exactly the dispatcher's discipline. Items/s is the
-// headline number.
-constexpr int kQueueBenchItems = 1 << 17;
-
-void BM_MpscRing(benchmark::State& state) {
-  int producers = static_cast<int>(state.range(0));
-  int per_producer = kQueueBenchItems / producers;
-  for (auto _ : state) {
-    MpscRing<uint64_t> ring(1024);
-    FutexDoorbell bell;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(producers));
-    for (int p = 0; p < producers; ++p) {
-      threads.emplace_back([&ring, &bell, per_producer] {
-        for (int i = 0; i < per_producer; ++i) {
-          while (ring.TryPush(static_cast<uint64_t>(i)) !=
-                 MpscRing<uint64_t>::PushResult::kOk) {
-            std::this_thread::yield();
-          }
-          bell.Notify();
-        }
-      });
-    }
-    int64_t total = static_cast<int64_t>(producers) * per_producer;
-    int64_t seen = 0;
-    uint64_t sink = 0;
-    while (seen < total) {
-      size_t n = ring.ConsumeBatch(1024, [&](uint64_t&& v) { sink += v; });
-      seen += static_cast<int64_t>(n);
-      if (n == 0) {
-        uint32_t epoch = bell.PrepareWait();
-        if (ring.ApproxSize() > 0) {
-          bell.CancelWait();
-        } else {
-          bell.Wait(epoch, /*timeout_seconds=*/0.05);
-        }
-      }
-    }
-    for (std::thread& t : threads) t.join();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * kQueueBenchItems);
-}
-BENCHMARK(BM_MpscRing)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
-
-// Baseline: the pre-refactor protocol (bounded std::deque under one mutex,
-// condvar wakeups) with the same producer counts and capacity.
-void BM_MutexQueueBaseline(benchmark::State& state) {
-  int producers = static_cast<int>(state.range(0));
-  int per_producer = kQueueBenchItems / producers;
-  for (auto _ : state) {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<uint64_t> queue;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(producers));
-    for (int p = 0; p < producers; ++p) {
-      threads.emplace_back([&mu, &cv, &queue, per_producer] {
-        for (int i = 0; i < per_producer; ++i) {
-          for (;;) {
-            {
-              std::lock_guard<std::mutex> lock(mu);
-              if (queue.size() < 1024) {
-                queue.push_back(static_cast<uint64_t>(i));
-                break;
-              }
-            }
-            std::this_thread::yield();
-          }
-          cv.notify_one();
-        }
-      });
-    }
-    int64_t total = static_cast<int64_t>(producers) * per_producer;
-    int64_t seen = 0;
-    uint64_t sink = 0;
-    std::deque<uint64_t> local;
-    while (seen < total) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait_for(lock, std::chrono::milliseconds(50),
-                    [&queue] { return !queue.empty(); });
-        queue.swap(local);
-      }
-      for (uint64_t v : local) sink += v;
-      seen += static_cast<int64_t>(local.size());
-      local.clear();
-    }
-    for (std::thread& t : threads) t.join();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * kQueueBenchItems);
-}
-BENCHMARK(BM_MutexQueueBaseline)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_GaussianProcessFit(benchmark::State& state) {
   auto n = static_cast<size_t>(state.range(0));
@@ -822,8 +719,8 @@ void RunServeClosedLoop(benchmark::State& state, bool async_mode,
   net::HttpServer::AsyncHandler handler;
   if (async_mode) {
     handler = api::MakeGatewayAsyncHttpHandler(&gateway);
-    // The async gateway handler only parses and enqueues (SubmitAsync is
-    // lock-free); the response is completed later by the batch thread.
+    // The async gateway handler only parses and enqueues; the response is
+    // completed later by the batch thread.
     // Run-to-completion keeps the parse+submit on the event loop.
     opts.inline_handlers = true;
   } else {
@@ -910,8 +807,8 @@ void BM_ServeClosedLoopReplicas(benchmark::State& state) {
 }
 // Arg is the replica-dispatcher count of the deployed job (static, no
 // autoscale): same continuation path and 2-thread handler pool as Async/2,
-// so the delta isolates the replicated serving plane — sharded rings,
-// least-loaded router, per-replica net clones. On a multicore host req/s
+// so the delta isolates the replicated serving plane — dispatchers sharing
+// the job's queue, per-replica net clones. On a multicore host req/s
 // scales with replicas; on a 1-core runner real-time stays flat and the
 // replication cost/benefit shows up in cpu_time and mean_batch instead.
 BENCHMARK(BM_ServeClosedLoopReplicas)

@@ -216,12 +216,11 @@ int main(int argc, char** argv) {
         static_cast<long long>(metrics->learn_steps), metrics->reward_sum);
     std::printf(
         "replica metrics replicas=%lld peak=%lld scale_ups=%lld "
-        "scale_downs=%lld steals=%lld variant_level=%lld\n",
+        "scale_downs=%lld variant_level=%lld\n",
         static_cast<long long>(metrics->replicas),
         static_cast<long long>(metrics->replicas_peak),
         static_cast<long long>(metrics->scale_ups),
         static_cast<long long>(metrics->scale_downs),
-        static_cast<long long>(metrics->steals),
         static_cast<long long>(metrics->variant_level));
     // The books must close after the drain: every arrival is processed,
     // dropped, expired, or still queued (nothing lost, nothing double

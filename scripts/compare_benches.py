@@ -12,7 +12,9 @@ Each benchmark is compared on one headline figure:
 Both files' `num_cpus` and `gemm_path` are printed first. When they differ
 the runs come from different hosts (or GEMM paths) and no deltas are
 printed. Otherwise the script prints a per-benchmark delta table plus a
-summary of regressions beyond the threshold (default 10%). Exits 0 always:
+summary of failed benchmarks (entries with `error_occurred`, on either
+side, with their `error_message`) and of regressions beyond the threshold
+(default 10%). A failed entry is never compared. Exits 0 always:
 the CI bench job is a report, not a gate. Single-run micro-benchmarks on
 shared runners are too noisy to block merges on, but the table in the job
 log makes drift visible.
@@ -36,12 +38,19 @@ def headline(bench):
 
 
 def load(path):
+    """(host keys, {name: headline}, {name: error message}) of one file."""
     with open(path) as f:
         data = json.load(f)
-    benches = {b["name"]: headline(b) for b in data.get("benchmarks", [])
-               if b.get("run_type") != "aggregate"}
+    benches, failures = {}, {}
+    for b in data.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            continue
+        if b.get("error_occurred"):
+            failures[b["name"]] = b.get("error_message", "")
+        else:
+            benches[b["name"]] = headline(b)
     context = data.get("context", {})
-    return {k: context.get(k) for k in HOST_KEYS}, benches
+    return {k: context.get(k) for k in HOST_KEYS}, benches, failures
 
 
 def main():
@@ -52,8 +61,8 @@ def main():
                         help="percent worsening considered a regression")
     args = parser.parse_args()
 
-    base_host, base = load(args.baseline)
-    curr_host, curr = load(args.current)
+    base_host, base, base_failed = load(args.baseline)
+    curr_host, curr, curr_failed = load(args.current)
     for key in HOST_KEYS:
         print(f"{key}: baseline {base_host[key]}, current {curr_host[key]}")
     if base_host != curr_host:
@@ -61,13 +70,24 @@ def main():
         return 0
     print()
 
-    names = sorted(set(base) | set(curr))
+    names = sorted(set(base) | set(curr) | set(base_failed) |
+                   set(curr_failed))
     width = max((len(n) for n in names), default=9)
     print(f"{'benchmark':<{width}}  {'figure':<16}  {'baseline':>14}  "
           f"{'current':>14}  {'change':>8}")
     print("-" * (width + 62))
+    failures = []
     regressions = []
     for name in names:
+        sides = [side for side, failed in (("baseline", base_failed),
+                                           ("current", curr_failed))
+                 if name in failed]
+        if sides:
+            print(f"{name:<{width}}  FAILED in {' and '.join(sides)}")
+            failures += [(side, name, (base_failed if side == "baseline"
+                                       else curr_failed)[name])
+                         for side in sides]
+            continue
         b, c = base.get(name), curr.get(name)
         if b is None or c is None:
             key, value, _ = b or c
@@ -90,13 +110,19 @@ def main():
               f"{change:>+7.1f}%{marker}")
 
     print()
+    if failures:
+        print(f"{len(failures)} benchmark run(s) failed and were not "
+              f"compared:")
+        for side, name, message in failures:
+            print(f"  {side:<8} {name}: {message}")
     if regressions:
         print(f"{len(regressions)} benchmark(s) worse than baseline by more "
               f"than {args.threshold:.0f}% (non-blocking):")
         for name, key, change in regressions:
             print(f"  {name}: {key} {change:+.1f}%")
     else:
-        print(f"No regressions beyond {args.threshold:.0f}%.")
+        scope = " among the compared benchmarks" if failures else ""
+        print(f"No regressions beyond {args.threshold:.0f}%{scope}.")
     return 0
 
 

@@ -13,7 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/mpsc_ring.h"
+#include "common/ring_deque.h"
 #include "common/result.h"
 #include "net/event_loop.h"
 #include "net/http.h"

@@ -412,27 +412,23 @@ GatewayResponse Gateway::InferMetrics(const std::string& job_id) {
                 static_cast<long long>(metrics->reward_pending_overdue));
   body += StrFormat(
       "&replicas=%lld&replicas_peak=%lld&scale_ups=%lld&scale_downs=%lld&"
-      "steals=%lld&variant_level=%lld&variant_shifts=%lld",
+      "variant_level=%lld&variant_shifts=%lld",
       static_cast<long long>(metrics->replicas),
       static_cast<long long>(metrics->replicas_peak),
       static_cast<long long>(metrics->scale_ups),
       static_cast<long long>(metrics->scale_downs),
-      static_cast<long long>(metrics->steals),
       static_cast<long long>(metrics->variant_level),
       static_cast<long long>(metrics->variant_shifts));
   // One gauge row per replica slot ever activated; each row was read under
-  // that replica's stats mutex, so depth/processed/steals are consistent.
+  // that replica's stats mutex, so inflight/processed are consistent.
   for (const serving::ReplicaGauges& g : metrics->replica_gauges) {
     body += StrFormat(
-        "&r%lld_active=%d&r%lld_queue=%lld&r%lld_processed=%lld&"
-        "r%lld_steals=%lld",
+        "&r%lld_active=%d&r%lld_inflight=%lld&r%lld_processed=%lld",
         static_cast<long long>(g.replica), g.active ? 1 : 0,
         static_cast<long long>(g.replica),
-        static_cast<long long>(g.queue_depth),
+        static_cast<long long>(g.inflight),
         static_cast<long long>(g.replica),
-        static_cast<long long>(g.processed),
-        static_cast<long long>(g.replica),
-        static_cast<long long>(g.steals));
+        static_cast<long long>(g.processed));
   }
   return GatewayResponse{200, std::move(body)};
 }

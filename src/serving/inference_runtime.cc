@@ -83,6 +83,18 @@ std::vector<uint32_t> BuildVariantMasks(
   return masks;
 }
 
+/// A push wakes a dispatcher only when it makes the queue length 1 or a
+/// size in B: Algorithm 3's decision changes only at those lengths, a
+/// waiting dispatcher's flush deadline covers the rest, and the RL policy
+/// never waits on a non-empty queue.
+bool PushWakes(const std::vector<int64_t>& batch_sizes, size_t len) {
+  if (len == 1) return true;
+  for (int64_t b : batch_sizes) {
+    if (static_cast<size_t>(b) == len) return true;
+  }
+  return false;
+}
+
 /// Consecutive-tick thresholds for the controller's hysteresis (on top of
 /// the dwell time): sustained signals, not single-tick spikes.
 constexpr int kScaleDownTicks = 3;
@@ -274,7 +286,6 @@ void InferenceRuntime::StartReplica(const std::shared_ptr<Job>& job,
   if (job->created.load(std::memory_order_relaxed) <= index) {
     auto fresh = std::make_unique<Replica>();
     fresh->index = index;
-    fresh->ring = std::make_unique<MpscRing<Pending>>(job->opts.queue_capacity);
     fresh->models.reserve(job->prototypes.size());
     for (const ServableModel& proto : job->prototypes) {
       ServableModel clone;
@@ -289,16 +300,14 @@ void InferenceRuntime::StartReplica(const std::shared_ptr<Job>& job,
     RAFIKI_CHECK(fresh->policy != nullptr);  // validated at Deploy
     job->slots[index] = std::move(fresh);
     r = job->slots[index].get();
-    // Publish the slot before it becomes routable (paired with the
-    // acquire loads in SubmitAsync / Metrics).
+    // Publish the slot before Metrics may traverse it.
     job->created.store(index + 1, std::memory_order_release);
   } else {
     // Re-activating a slot retired earlier: its previous dispatcher was
-    // joined and its ring fully drained, so Reopen is safe. Policy state
-    // (e.g. a learned RL agent) carries over.
+    // joined, so nothing else touches the flag. Policy state (e.g. a
+    // learned RL agent) carries over.
     r = job->slots[index].get();
-    r->ring->Reopen();
-    r->stopping.store(false, std::memory_order_release);
+    r->stopping = false;
   }
   r->dispatcher = std::thread([job, r] { ReplicaLoop(job, r); });
   job->active.store(index + 1, std::memory_order_release);
@@ -311,16 +320,14 @@ void InferenceRuntime::StartReplica(const std::shared_ptr<Job>& job,
 
 void InferenceRuntime::RetireReplica(Job& job, size_t index) {
   Replica& r = *job.slots[index];
-  // Unpublish from the router first: new submissions stop picking this
-  // slot. Racing producers that already picked it bounce off the closed
-  // ring (kClosed) and re-route.
   job.active.store(index, std::memory_order_release);
-  // Close the ring BEFORE publishing `stopping` (the dispatcher's drain
-  // invariant: when it acquire-loads stopping == true, the closed bit is
-  // already visible, so DrainClosed observes every accepted value).
-  r.ring->Close();
-  r.stopping.store(true, std::memory_order_release);
-  r.doorbell.Notify();
+  {
+    std::lock_guard<std::mutex> lock(job.queue_mu);
+    r.stopping = true;
+  }
+  // Every dispatcher wakes: the retiring one to exit, the others to pick
+  // up whatever it was waiting on.
+  job.queue_cv.notify_all();
   if (r.dispatcher.joinable()) r.dispatcher.join();
 }
 
@@ -335,24 +342,33 @@ void InferenceRuntime::StopJob(Job& job) {
     job.ctl_cv.notify_all();
     job.controller.join();
   }
-  // Job-level stopping turns the dispatchers' drain path from "re-route to
-  // a surviving replica" into "fail as dropped". Published before any
-  // per-replica stopping store, so a dispatcher that observes its own
-  // stopping flag also observes the job flag.
-  job.stopping.store(true, std::memory_order_release);
-  size_t created = job.created.load(std::memory_order_acquire);
-  for (size_t i = 0; i < created; ++i) {
-    Replica& r = *job.slots[i];
-    if (!r.stopping.load(std::memory_order_acquire)) {
-      r.ring->Close();
-      r.stopping.store(true, std::memory_order_release);
-    }
-    r.doorbell.Notify();
+  {
+    std::lock_guard<std::mutex> lock(job.queue_mu);
+    job.stopping = true;
   }
+  job.queue_cv.notify_all();
+  size_t created = job.created.load(std::memory_order_acquire);
   for (size_t i = 0; i < created; ++i) {
     if (job.slots[i]->dispatcher.joinable()) job.slots[i]->dispatcher.join();
   }
   job.active.store(0, std::memory_order_release);
+  // The requests still queued arrived but will never be served: fail them
+  // as dropped (keeps arrived == processed + dropped + expired). Nothing
+  // can enqueue past `stopping`, so the queue is final here.
+  std::vector<Pending> left;
+  {
+    std::lock_guard<std::mutex> lock(job.queue_mu);
+    job.dropped += static_cast<int64_t>(job.queue.size());
+    left.reserve(job.queue.size());
+    while (!job.queue.empty()) {
+      left.push_back(std::move(job.queue.front()));
+      job.queue.pop_front();
+    }
+  }
+  for (Pending& p : left) {
+    p.done(Status::Unavailable(
+        StrFormat("inference job '%s' undeployed", job.id.c_str())));
+  }
 }
 
 Status InferenceRuntime::SubmitAsync(const std::string& job_id,
@@ -376,81 +392,36 @@ Status InferenceRuntime::SubmitAsync(const std::string& job_id,
                   static_cast<long long>(job->input_dim)));
   }
 
-  if (job->stopping.load(std::memory_order_acquire)) {
-    return Status::NotFound(
-        StrFormat("inference job '%s' is undeploying", job_id.c_str()));
-  }
-
   Pending pending;
   pending.features = std::move(features);
   pending.done = std::move(done);
-  pending.arrival = job->NowSeconds();
-
-  // Lock-free admission: count the arrival, reserve a queue slot on the
-  // job-wide atomic gauge (the exact-capacity gate), then route to the
-  // least-loaded replica. The gauge reservation also guarantees the
-  // chosen ring has room (rings are sized >= queue_capacity).
-  job->arrived.fetch_add(1, std::memory_order_relaxed);
-  int64_t depth = job->queued.fetch_add(1, std::memory_order_acq_rel);
-  if (depth >= static_cast<int64_t>(job->opts.queue_capacity)) {
-    job->queued.fetch_sub(1, std::memory_order_acq_rel);
-    job->dropped.fetch_add(1, std::memory_order_relaxed);
+  bool stopping = false;
+  size_t len = 0;
+  {
+    std::lock_guard<std::mutex> lock(job->queue_mu);
+    stopping = job->stopping;
+    if (!stopping) {
+      ++job->arrived;
+      if (job->queue.size() >= job->opts.queue_capacity) {
+        ++job->dropped;
+      } else {
+        // Stamped under the lock, so the queue stays in arrival order.
+        pending.arrival = job->NowSeconds();
+        job->queue.push_back(std::move(pending));
+        len = job->queue.size();
+      }
+    }
+  }
+  if (stopping) {
+    return Status::NotFound(
+        StrFormat("inference job '%s' is undeploying", job_id.c_str()));
+  }
+  if (len == 0) {
     return Status::Unavailable(
         StrFormat("inference job '%s' queue full", job_id.c_str()));
   }
-  for (int attempt = 0;; ++attempt) {
-    if (job->stopping.load(std::memory_order_acquire)) {
-      // Undeploy raced us after the reservation. The request was never
-      // accepted, so the arrival is uncounted again — the books still
-      // close at arrived == processed + dropped + expired.
-      job->queued.fetch_sub(1, std::memory_order_acq_rel);
-      job->arrived.fetch_sub(1, std::memory_order_relaxed);
-      return Status::NotFound(
-          StrFormat("inference job '%s' is undeploying", job_id.c_str()));
-    }
-    // Least-loaded router: queued + inflight approximates each replica's
-    // time-to-drain. Racy reads are fine — misrouting costs balance, not
-    // correctness, and stealing re-levels any transient skew.
-    size_t active = job->active.load(std::memory_order_acquire);
-    size_t best = SIZE_MAX;
-    int64_t best_load = INT64_MAX;
-    for (size_t i = 0; i < active; ++i) {
-      Replica* r = job->slots[i].get();
-      if (r->stopping.load(std::memory_order_relaxed)) continue;
-      int64_t load = r->queued.load(std::memory_order_relaxed) +
-                     r->inflight.load(std::memory_order_relaxed);
-      if (load < best_load) {
-        best_load = load;
-        best = i;
-      }
-    }
-    if (best == SIZE_MAX) {
-      // No routable replica this instant (mid-resize window, or Deploy
-      // still starting the first dispatcher). Brief and self-correcting:
-      // yield and re-scan, bounded so a wedged job cannot hang callers.
-      if (attempt >= 1024) {
-        job->queued.fetch_sub(1, std::memory_order_acq_rel);
-        job->dropped.fetch_add(1, std::memory_order_relaxed);
-        return Status::Unavailable(
-            StrFormat("inference job '%s' has no routable replica",
-                      job_id.c_str()));
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    Replica* r = job->slots[best].get();
-    r->queued.fetch_add(1, std::memory_order_acq_rel);
-    if (r->ring->TryPush(std::move(pending)) ==
-        MpscRing<Pending>::PushResult::kOk) {
-      r->doorbell.Notify();
-      return Status::OK();
-    }
-    // kClosed: the replica retired between the scan and the push (TryPush
-    // leaves `pending` intact on failure) — undo its gauge and re-scan.
-    // kFull is unreachable (ring >= job capacity gate) but handled the
-    // same way for robustness.
-    r->queued.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  if (PushWakes(job->opts.batch_sizes, len)) job->queue_cv.notify_one();
+  return Status::OK();
 }
 
 Result<std::future<Result<EnsemblePrediction>>> InferenceRuntime::Submit(
@@ -525,9 +496,12 @@ Result<InferenceJobMetrics> InferenceRuntime::Metrics(
     stats.scale_downs = job->scale_downs;
     stats.variant_shifts = job->variant_shifts;
   }
-  stats.arrived = job->arrived.load(std::memory_order_relaxed);
-  stats.dropped = job->dropped.load(std::memory_order_relaxed);
-  stats.queue_depth = job->queued.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(job->queue_mu);
+    stats.arrived = job->arrived;
+    stats.dropped = job->dropped;
+    stats.queue_depth = static_cast<int64_t>(job->queue.size());
+  }
   stats.variant_level = job->variant_level.load(std::memory_order_relaxed);
   size_t active = job->active.load(std::memory_order_acquire);
   size_t created = job->created.load(std::memory_order_acquire);
@@ -537,17 +511,14 @@ Result<InferenceJobMetrics> InferenceRuntime::Metrics(
   stats.replica_gauges.reserve(created);
   for (size_t i = 0; i < created; ++i) {
     Replica& r = *job->slots[i];
-    // One mutex hold per replica covers its whole gauge row (queue depth,
-    // processed, steals) plus the aggregate fold, so each row is an
-    // internally consistent snapshot.
+    // One mutex hold per replica covers its gauge row plus the aggregate
+    // fold, so each row is an internally consistent snapshot.
     std::lock_guard<std::mutex> lock(r.mu);
     ReplicaGauges g;
     g.replica = static_cast<int64_t>(i);
     g.active = i < active;
-    g.queue_depth = r.queued.load(std::memory_order_relaxed) +
-                    r.inflight.load(std::memory_order_relaxed);
+    g.inflight = r.inflight.load(std::memory_order_relaxed);
     g.processed = r.stats.processed;
-    g.steals = r.steals.load(std::memory_order_relaxed);
     stats.replica_gauges.push_back(g);
     stats.processed += r.stats.processed;
     stats.overdue += r.stats.overdue;
@@ -559,7 +530,6 @@ Result<InferenceJobMetrics> InferenceRuntime::Metrics(
     stats.accuracy_sum += r.stats.accuracy_sum;
     stats.reward_overdue += r.stats.reward_overdue;
     stats.reward_pending_overdue += r.stats.reward_pending_overdue;
-    stats.steals += g.steals;
     latency_sum += r.stats.latency_sum;
     hist.Merge(r.stats.latency_hist);
   }
@@ -584,128 +554,49 @@ std::vector<std::string> InferenceRuntime::Jobs() const {
   return out;
 }
 
-void InferenceRuntime::MaybePostSteal(Job& job, Replica& self) {
-  size_t active = job.active.load(std::memory_order_acquire);
-  if (active <= 1) return;
-  size_t victim = SIZE_MAX;
-  auto best_q = static_cast<int64_t>(job.opts.steal_threshold);
-  for (size_t i = 0; i < active; ++i) {
-    Replica* r = job.slots[i].get();
-    if (r == &self || r->stopping.load(std::memory_order_relaxed)) continue;
-    int64_t q = r->queued.load(std::memory_order_relaxed);
-    if (q > best_q) {
-      best_q = q;
-      victim = i;
-    }
-  }
-  if (victim == SIZE_MAX) return;
-  // One pending thief per victim; losing the CAS means someone else asked
-  // first, and our doorbell timeout retries soon anyway.
-  uint32_t expected = kNoThief;
-  job.slots[victim]->steal_request.compare_exchange_strong(
-      expected, static_cast<uint32_t>(self.index),
-      std::memory_order_acq_rel, std::memory_order_relaxed);
-}
-
-void InferenceRuntime::ServiceStealRequest(Job& job, Replica& self,
-                                           RingDeque<Pending>& lq) {
-  if (self.steal_request.load(std::memory_order_relaxed) == kNoThief) return;
-  uint32_t thief_idx =
-      self.steal_request.exchange(kNoThief, std::memory_order_acq_rel);
-  if (thief_idx == kNoThief) return;
-  // A surplus below the threshold drops the request: the thief retries
-  // against the then-longest queue after its poll timeout.
-  if (lq.size() <= job.opts.steal_threshold) return;
-  if (thief_idx >= job.created.load(std::memory_order_acquire)) return;
-  Replica* thief = job.slots[thief_idx].get();
-  if (thief == &self) return;
-  // Donate half the local queue, oldest first (they reach service soonest
-  // on the idle thief). The donation runs the ordinary MPSC producer
-  // protocol against the thief's ring, so the thief's single-consumer
-  // invariant — and hence exactly-once completion — is untouched.
-  size_t donate = lq.size() / 2;
-  int64_t moved = 0;
-  for (size_t i = 0; i < donate; ++i) {
-    if (thief->stopping.load(std::memory_order_relaxed)) break;
-    Pending p = std::move(lq.front());
-    lq.pop_front();
-    thief->queued.fetch_add(1, std::memory_order_acq_rel);
-    self.queued.fetch_sub(1, std::memory_order_acq_rel);
-    if (thief->ring->TryPush(std::move(p)) !=
-        MpscRing<Pending>::PushResult::kOk) {
-      // Thief retired under us (TryPush left `p` intact): undo the gauge
-      // transfer and keep the request local.
-      thief->queued.fetch_sub(1, std::memory_order_acq_rel);
-      self.queued.fetch_add(1, std::memory_order_acq_rel);
-      lq.push_back(std::move(p));
-      break;
-    }
-    ++moved;
-  }
-  if (moved > 0) {
-    thief->steals.fetch_add(moved, std::memory_order_relaxed);
-    thief->doorbell.Notify();
-  }
-}
-
 void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
                                    Replica* self) {
   const RuntimeOptions& opts = job->opts;
   const double delta = opts.backoff_delta_fraction * opts.tau;
-  MpscRing<Pending>& ring = *self->ring;
-  // Dispatcher-local FIFO: the ring is drained into it in batches, and the
-  // policy works against it without any shared lock. Requests here still
-  // count as "queued" — the gauges drop only when they are batched,
-  // expired, donated, or failed at shutdown.
-  RingDeque<Pending> lq;
-  auto take = [&lq](Pending&& p) { lq.push_back(std::move(p)); };
+  RingDeque<Pending>& queue = job->queue;
   std::vector<Pending> expired;  // scratch, capacity reused
+  ServingObs obs;                // capacity reused across decisions
+  obs.tau = opts.tau;
+  obs.batch_sizes = &opts.batch_sizes;
+  obs.models = &self->profiles;
+  // This replica is the only executor of its clones and runs batches
+  // synchronously, so every model is free at decision time.
+  obs.busy_remaining.assign(self->profiles.size(), 0.0);
   // Expiries not yet folded into a reward: Equation 7 charges overdue at
   // batch completion, so an expired (504) request is charged against the
   // NEXT batch this replica dispatches — exactly once. The carry persists
   // across a scale-down/up cycle of this slot.
   int64_t expired_unrewarded = self->expired_carry;
-  self->expired_carry = 0;
-  const uint32_t all_models_mask =
-      (1u << static_cast<uint32_t>(self->models.size())) - 1u;
 
-  while (!self->stopping.load(std::memory_order_acquire)) {
-    ring.ConsumeBatch(opts.queue_capacity, take);
-    ServiceStealRequest(*job, *self, lq);
-    if (lq.empty()) {
-      // Before sleeping, ask the most loaded replica for work; its
-      // donation lands in our ring and rings our doorbell.
-      MaybePostSteal(*job, *self);
-      // PrepareWait/recheck closes the race with a push that lands between
-      // the emptiness check and the futex wait; the timeout re-evaluates
-      // deadline pressure (and retries the steal).
-      uint32_t epoch = self->doorbell.PrepareWait();
-      if (self->stopping.load(std::memory_order_acquire) ||
-          ring.ApproxSize() > 0) {
-        self->doorbell.CancelWait();
-        continue;
-      }
-      self->doorbell.Wait(epoch, opts.max_poll_seconds);
+  std::unique_lock<std::mutex> lock(job->queue_mu);
+  while (!self->stopping && !job->stopping) {
+    if (queue.empty()) {
+      job->queue_cv.wait(lock, [&] {
+        return !queue.empty() || self->stopping || job->stopping;
+      });
       continue;
     }
-
     double now = job->NowSeconds();
     if (opts.expire_overdue) {
       // Queue-deadline: a request already older than tau cannot possibly
       // meet the SLO — answer it kDeadlineExceeded now instead of letting
-      // it occupy batch capacity. FIFO queue, so waits are longest at the
-      // front and the scan stops at the first fresh request.
-      while (!lq.empty() && now - lq.front().arrival > opts.tau) {
-        expired.push_back(std::move(lq.front()));
-        lq.pop_front();
+      // it occupy batch capacity. The queue is in arrival order, so the
+      // scan stops at the first fresh request.
+      while (!queue.empty() && now - queue.front().arrival > opts.tau) {
+        expired.push_back(std::move(queue.front()));
+        queue.pop_front();
       }
       if (!expired.empty()) {
+        lock.unlock();
         auto n = static_cast<int64_t>(expired.size());
-        self->queued.fetch_sub(n, std::memory_order_acq_rel);
-        job->queued.fetch_sub(n, std::memory_order_acq_rel);
         expired_unrewarded += n;
         {
-          std::lock_guard<std::mutex> lock(self->mu);
+          std::lock_guard<std::mutex> stats_lock(self->mu);
           self->stats.expired += n;
           self->stats.overdue += n;
           self->stats.reward_pending_overdue += n;
@@ -715,41 +606,32 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
               StrFormat("queue wait exceeded tau=%.6fs", opts.tau)));
         }
         expired.clear();
+        lock.lock();
         continue;
       }
     }
-    ServingObs obs;
-    obs.tau = opts.tau;
-    obs.batch_sizes = &opts.batch_sizes;
-    obs.models = &self->profiles;
-    obs.queue_len = lq.size();
-    // Stamp the queue features at the moment Decide() runs, not at tick
-    // start: the expiry scan and its 504 continuations above take real
-    // time, and a stale `now` would understate every wait the agent sees.
-    // Producers stamp `arrival` before the ring push the dispatcher
-    // consumed, and the clock is monotonic, so waits are never negative.
-    now = job->NowSeconds();
+    // Arrivals are stamped under the queue mutex this thread holds, and
+    // the clock is monotonic, so no wait is negative.
     obs.now = now;
-    size_t wait_count = std::min<size_t>(lq.size(), 64);
-    obs.queue_waits.reserve(wait_count);
+    obs.queue_len = queue.size();
+    size_t wait_count = std::min<size_t>(queue.size(), 64);
+    obs.queue_waits.clear();
     for (size_t i = 0; i < wait_count; ++i) {
-      double wait = now - lq[i].arrival;
+      double wait = now - queue[i].arrival;
 #ifndef NDEBUG
       RAFIKI_CHECK_GE(wait, 0.0) << "stale queue-wait feature";
 #endif
       obs.queue_waits.push_back(wait);
     }
-    // This replica is the only executor of its clones and runs batches
-    // synchronously, so every model is free at decision time.
-    obs.busy_remaining.assign(self->profiles.size(), 0.0);
 
     ServingAction action = self->policy->Decide(obs);
     int64_t b = std::min<int64_t>(action.batch_size,
-                                  static_cast<int64_t>(lq.size()));
+                                  static_cast<int64_t>(queue.size()));
     if (!action.process || b <= 0) {
       // Algorithm 3 said wait: sleep until the oldest request would trip
-      // the deadline flush (c(b_eff) + w(q_0) + delta >= tau) or a new
-      // arrival rings the doorbell and re-triggers a decision.
+      // the deadline flush (c(b_eff) + w(q_0) + delta >= tau), or until a
+      // push that can change the decision wakes us. Every wake, spurious
+      // ones included, re-runs the decision above.
       int64_t feasible =
           LargestFeasibleBatch(opts.batch_sizes, obs.queue_len);
       int64_t effective =
@@ -758,42 +640,35 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
       for (const model::ModelProfile& m : self->profiles) {
         worst_latency = std::max(worst_latency, m.BatchLatency(effective));
       }
-      double oldest = obs.queue_waits.empty() ? 0.0 : obs.queue_waits[0];
-      double until_flush = opts.tau - delta - worst_latency - oldest;
-      double sleep_s =
-          std::clamp(until_flush, 100e-6, opts.max_poll_seconds);
-      uint32_t epoch = self->doorbell.PrepareWait();
-      if (self->stopping.load(std::memory_order_acquire) ||
-          ring.ApproxSize() > 0) {
-        self->doorbell.CancelWait();
-      } else {
-        self->doorbell.Wait(epoch, sleep_s);
-      }
+      double until_flush =
+          opts.tau - delta - worst_latency - obs.queue_waits[0];
+      job->queue_cv.wait_for(
+          lock, std::chrono::duration<double>(std::max(until_flush, 100e-6)));
       continue;
     }
 
     std::vector<Pending> batch;
     batch.reserve(static_cast<size_t>(b));
     for (int64_t i = 0; i < b; ++i) {
-      batch.push_back(std::move(lq.front()));
-      lq.pop_front();
+      batch.push_back(std::move(queue.front()));
+      queue.pop_front();
     }
-    self->queued.fetch_sub(b, std::memory_order_acq_rel);
-    job->queued.fetch_sub(b, std::memory_order_acq_rel);
+    bool left_behind = !queue.empty();
     self->inflight.store(b, std::memory_order_relaxed);
+    lock.unlock();
+    // The requests left behind need a decision of their own.
+    if (left_behind) job->queue_cv.notify_one();
     // Sanitize the mask for execution (the policy's own action object is
-    // preserved for Feedback, which re-encodes it): bits beyond the
-    // deployed models are dropped, and an empty selection degrades to the
-    // full ensemble. The controller's variant mask is applied last and
-    // wins — under a downshift the slowest models must not run even if
-    // the policy selected only them.
-    uint32_t mask = action.model_mask & all_models_mask;
-    if (mask == 0) mask = all_models_mask;
+    // preserved for Feedback, which re-encodes it): the controller's
+    // variant, a subset of the deployed models, bounds it, so bits beyond
+    // the deployed models are dropped and, under a downshift, the slowest
+    // models do not run even if the policy selected only them. An empty
+    // result runs the whole variant (the full ensemble at level 0).
     int level = std::clamp(
         job->variant_level.load(std::memory_order_relaxed), 0,
         static_cast<int>(job->variant_masks.size()) - 1);
     uint32_t variant = job->variant_masks[static_cast<size_t>(level)];
-    uint32_t exec = mask & variant;
+    uint32_t exec = action.model_mask & variant;
     if (exec == 0) exec = variant;
     double reward =
         ProcessBatch(*job, *self, std::move(batch), exec, expired_unrewarded);
@@ -803,79 +678,9 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
     // on this dispatcher thread, after the stats fold, so Metrics readers
     // never see a batch whose reward is missing.
     self->policy->Feedback(obs, action, reward);
+    lock.lock();
   }
-
-  // Drain: whoever retired us closed the ring before `stopping` became
-  // visible, so DrainClosed observes every request any producer ever
-  // enqueued here.
-  ring.DrainClosed(take);
   self->expired_carry = expired_unrewarded;
-  if (job->stopping.load(std::memory_order_acquire)) {
-    // Undeploy: the requests arrived but will never be served — fail them
-    // as dropped (keeps arrived == processed + dropped + expired).
-    if (!lq.empty()) {
-      auto n = static_cast<int64_t>(lq.size());
-      self->queued.fetch_sub(n, std::memory_order_acq_rel);
-      job->queued.fetch_sub(n, std::memory_order_acq_rel);
-      job->dropped.fetch_add(n, std::memory_order_relaxed);
-    }
-    while (!lq.empty()) {
-      Pending p = std::move(lq.front());
-      lq.pop_front();
-      p.done(Status::Unavailable(
-          StrFormat("inference job '%s' undeployed", job->id.c_str())));
-    }
-    return;
-  }
-  // Scale-down: the job lives on, so every drained request is re-routed
-  // to a surviving replica (the controller guarantees at least
-  // min_replicas >= 1 stay active). Only if re-routing is truly
-  // impossible — Undeploy racing in behind us — does a request fail.
-  while (!lq.empty()) {
-    Pending p = std::move(lq.front());
-    lq.pop_front();
-    bool moved = false;
-    while (!moved) {
-      if (job->stopping.load(std::memory_order_acquire)) break;
-      size_t active = job->active.load(std::memory_order_acquire);
-      size_t best = SIZE_MAX;
-      int64_t best_load = INT64_MAX;
-      for (size_t i = 0; i < active; ++i) {
-        Replica* r = job->slots[i].get();
-        if (r == self || r->stopping.load(std::memory_order_relaxed)) {
-          continue;
-        }
-        int64_t load = r->queued.load(std::memory_order_relaxed) +
-                       r->inflight.load(std::memory_order_relaxed);
-        if (load < best_load) {
-          best_load = load;
-          best = i;
-        }
-      }
-      if (best == SIZE_MAX) {
-        std::this_thread::yield();
-        continue;
-      }
-      Replica* target = job->slots[best].get();
-      target->queued.fetch_add(1, std::memory_order_acq_rel);
-      self->queued.fetch_sub(1, std::memory_order_acq_rel);
-      if (target->ring->TryPush(std::move(p)) ==
-          MpscRing<Pending>::PushResult::kOk) {
-        target->doorbell.Notify();
-        moved = true;
-      } else {
-        self->queued.fetch_add(1, std::memory_order_acq_rel);
-        target->queued.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-    if (!moved) {
-      self->queued.fetch_sub(1, std::memory_order_acq_rel);
-      job->queued.fetch_sub(1, std::memory_order_acq_rel);
-      job->dropped.fetch_add(1, std::memory_order_relaxed);
-      p.done(Status::Unavailable(
-          StrFormat("inference job '%s' undeployed", job->id.c_str())));
-    }
-  }
 }
 
 void InferenceRuntime::ControllerLoop(const std::shared_ptr<Job>& job) {
@@ -901,7 +706,11 @@ void InferenceRuntime::ControllerLoop(const std::shared_ptr<Job>& job) {
     lock.unlock();
 
     size_t active = job->active.load(std::memory_order_acquire);
-    int64_t queued = job->queued.load(std::memory_order_relaxed);
+    int64_t queued;
+    {
+      std::lock_guard<std::mutex> queue_lock(job->queue_mu);
+      queued = static_cast<int64_t>(job->queue.size());
+    }
     int64_t inflight = 0;
     for (size_t i = 0; i < active; ++i) {
       inflight += job->slots[i]->inflight.load(std::memory_order_relaxed);

@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpsc_ring.h"
 #include "common/result.h"
+#include "common/ring_deque.h"
 #include "common/stats.h"
 #include "model/profile.h"
 #include "nn/net.h"
@@ -44,14 +44,10 @@ struct RuntimeOptions {
   /// Candidate batch sizes B.
   std::vector<int64_t> batch_sizes = {1, 2, 4, 8, 16, 32};
   /// Bounded request queue; submissions beyond it are rejected
-  /// (kUnavailable) and counted as dropped. The gauge is job-wide: the sum
-  /// of all replica queues never exceeds it.
+  /// (kUnavailable) and counted as dropped.
   size_t queue_capacity = 4096;
   /// AIMD back-off constant delta = fraction * tau (Alg. 3).
   double backoff_delta_fraction = 0.1;
-  /// Upper bound on one dispatcher sleep, so deadline pressure is
-  /// re-evaluated at least this often even without new arrivals.
-  double max_poll_seconds = 0.005;
   /// Measure c(m, b) with real forwards at deploy time so the policy sees
   /// calibrated latency profiles; OFF uses zero-latency profiles (the
   /// policy then flushes purely on queue waiting time).
@@ -81,9 +77,8 @@ struct RuntimeOptions {
 
   /// --- Replicated serving plane (DESIGN.md §15) ---
   /// Initial number of replica dispatchers. Each replica owns clones of
-  /// every deployed net, its own submit ring, doorbell, latency profile
-  /// copy, and policy instance; a least-loaded router shards submissions
-  /// across them and idle replicas steal work from loaded ones.
+  /// every deployed net, a latency profile copy, and a policy instance;
+  /// all of them take their batches from the job's one request queue.
   int replicas = 1;
   /// Autoscaling bounds. max_replicas == 0 defaults to
   /// max(replicas, min_replicas). Replica slots up to max_replicas are
@@ -115,23 +110,18 @@ struct RuntimeOptions {
   /// upshift_overdue_rate with an idle queue.
   double downshift_overdue_rate = 0.20;
   double upshift_overdue_rate = 0.02;
-  /// A victim replica donates half its local queue to a requesting thief
-  /// only while holding more than this many requests.
-  size_t steal_threshold = 2;
 };
 
 /// Point-in-time gauges of one serving replica, read under the same mutex
-/// hold as its processed counter so the triple is internally consistent.
+/// hold as its processed counter.
 struct ReplicaGauges {
   /// Slot index; slots keep their lifetime counters across scale-down, so
   /// an inactive slot still reports what it processed while it ran.
   int64_t replica = 0;
   bool active = false;
-  int64_t queue_depth = 0;
+  /// Size of the batch this replica is executing (0 when idle).
+  int64_t inflight = 0;
   int64_t processed = 0;
-  /// Requests this replica stole (received via donation) from loaded
-  /// replicas while it was idle.
-  int64_t steals = 0;
 };
 
 /// Per-job serving counters (the live analogue of ServingMetrics).
@@ -152,8 +142,7 @@ struct InferenceJobMetrics {
   int64_t max_batch = 0;
   double mean_batch = 0.0;    // processed / batches
   double mean_latency = 0.0;  // seconds, submission -> response
-  /// Requests waiting in any replica queue at the moment Metrics() was
-  /// read.
+  /// Requests waiting in the job's queue at the moment Metrics() was read.
   int64_t queue_depth = 0;
   /// Latency percentiles over all processed requests (log-bucketed
   /// histogram, so values are quantized to bucket midpoints).
@@ -177,13 +166,14 @@ struct InferenceJobMetrics {
   int64_t reward_overdue = 0;
   int64_t reward_pending_overdue = 0;
   /// Replicated-plane gauges: currently active replica dispatchers, the
-  /// lifetime peak, controller resize counts, total stolen requests, and
-  /// the current accuracy variant (0 = full ensemble; level L drops the L
-  /// slowest models).
+  /// lifetime peak, controller resize counts, and the current accuracy
+  /// variant (0 = full ensemble; level L drops the L slowest models).
   int64_t replicas = 0;
   int64_t replicas_peak = 0;
   int64_t scale_ups = 0;
   int64_t scale_downs = 0;
+  /// Always 0: replicas share one queue, so there is nothing to steal.
+  /// Kept for readers that still report it.
   int64_t steals = 0;
   int64_t variant_level = 0;
   int64_t variant_shifts = 0;
@@ -217,27 +207,22 @@ std::vector<EnsemblePrediction> MajorityVoteRows(
 ///  * Jobs live behind `std::shared_ptr`; callers, dispatchers, and the
 ///    controller hold snapshots, so `Undeploy` can never free a job under
 ///    a concurrent query.
-///  * The registry mutex only guards the id -> job map. The submit path is
-///    lock-free: producers reserve capacity on a job-wide atomic gauge,
-///    pick the least-loaded replica (queue depth + inflight batch), push
-///    into that replica's bounded MPSC ring, and ring its futex doorbell.
+///  * The registry mutex only guards the id -> job map. Each job has one
+///    request queue in arrival order, guarded by the job's queue mutex
+///    together with admission, the capacity gate, the `arrived`/`dropped`
+///    counters, and the stopping flags. Every replica dispatcher takes its
+///    batches from that queue.
 ///  * Each replica owns deep clones of every net (`nn::Net` is stateful
 ///    during Forward), its own policy instance, and its own mutex-guarded
-///    stats, so replicas never share mutable state on the hot path. An
-///    idle replica posts a steal request on the most loaded replica before
-///    sleeping; the victim donates half its local queue through the
-///    thief's ring (the normal MPSC producer path), so correctness is
-///    unchanged by stealing.
+///    stats. Forward passes, continuations, and policy feedback run outside
+///    the queue mutex.
 ///  * A `ReplicaController` thread (opt-in) resizes the replica set within
 ///    [min, max] and downshifts the ensemble variant under sustained
-///    overdue pressure. Retired replicas re-route their drained queues to
-///    the surviving replicas, keeping conservation and exactly-once
-///    completion across every resize.
-///  * `Undeploy` stops the controller, closes every ring (every racing or
-///    later Submit observes kClosed — nothing can be enqueued past the
-///    close), signals the dispatchers and joins them; accepted-but-
-///    unserved requests are failed with kUnavailable and counted as
-///    dropped, keeping the books exact.
+///    overdue pressure. Retiring a replica only stops its dispatcher; the
+///    requests it did not take stay in the queue for the others.
+///  * `Undeploy` stops the controller, marks the job stopping (every later
+///    Submit gets NotFound), joins the dispatchers, and fails whatever is
+///    still queued with kUnavailable, counted as dropped.
 class InferenceRuntime {
  public:
   /// Continuation invoked exactly once with the request's outcome.
@@ -266,14 +251,14 @@ class InferenceRuntime {
   /// Enqueues one request (features: [dim] or [1, dim]) with a
   /// continuation: `done` is invoked from a replica dispatcher thread when
   /// the batch containing the request completes (or when it expires / is
-  /// failed by Undeploy). The submitting thread is never blocked.
+  /// failed by Undeploy). The submitting thread never waits for the batch;
+  /// it only holds the job's queue mutex for the push.
   /// A non-OK return means the request was NOT enqueued and `done` will
   /// never run: NotFound (unknown/undeploying job), Unavailable (queue
   /// full; retryable), InvalidArgument (wrong feature dimension).
   /// Once enqueued, `done` runs exactly once with either a prediction,
   /// kDeadlineExceeded (queue wait > tau, with expire_overdue), or
-  /// kUnavailable (job undeployed while queued) — regardless of how many
-  /// times the request migrates between replicas (stealing, scale-down).
+  /// kUnavailable (job undeployed while queued).
   Status SubmitAsync(const std::string& job_id, Tensor features,
                      Callback done);
 
@@ -319,32 +304,16 @@ class InferenceRuntime {
     LatencyHistogram latency_hist;
   };
 
-  static constexpr uint32_t kNoThief = UINT32_MAX;
-
-  /// One replica dispatcher: its own submit ring, doorbell, net clones,
-  /// profile copy, policy, and stats. Constructed once (lazily, at first
-  /// activation) and then reused across scale-down/up cycles: the ring is
-  /// closed and reopened, the thread restarted, and the policy retains its
-  /// learned state.
+  /// One replica dispatcher: its net clones, profile copy, policy, and
+  /// stats. Constructed once (lazily, at first activation) and then reused
+  /// across scale-down/up cycles: the thread is restarted and the policy
+  /// retains its learned state.
   struct Replica {
     size_t index = 0;
-    /// Sized >= queue_capacity: the job-wide `queued` gate bounds the total
-    /// pendings anywhere at queue_capacity, so one ring can absorb them
-    /// all and kFull is unreachable even under donation and re-routing.
-    std::unique_ptr<MpscRing<Pending>> ring;
-    FutexDoorbell doorbell;
-    /// This replica is being retired (scale-down or Undeploy). Set only
-    /// after its ring is closed.
-    std::atomic<bool> stopping{false};
-    /// Requests admitted to this replica, not yet batched/expired/moved.
-    std::atomic<int64_t> queued{0};
-    /// Size of the batch currently executing (router load signal).
+    /// This replica is being retired. Guarded by the job's queue mutex.
+    bool stopping = false;
+    /// Size of the batch currently executing.
     std::atomic<int64_t> inflight{0};
-    /// Index of an idle replica asking for work, or kNoThief. Written by
-    /// thieves (CAS from kNoThief), consumed by this replica's dispatcher.
-    std::atomic<uint32_t> steal_request{kNoThief};
-    /// Requests donated INTO this replica by loaded victims.
-    std::atomic<int64_t> steals{0};
     /// Expiries awaiting their Equation 7 charge when the dispatcher last
     /// exited; reloaded on restart so the exactly-once charge survives a
     /// scale-down/up cycle. Dispatcher-only (threads are joined between).
@@ -378,25 +347,26 @@ class InferenceRuntime {
     /// Fixed-size slot table (max_replicas entries, never resized after
     /// Deploy). slots[i] is constructed at most once — publication is
     /// ordered by `created` — and never destroyed while the job lives, so
-    /// lock-free readers can traverse it safely.
+    /// Metrics and the controller can traverse it without a lock.
     std::vector<std::unique_ptr<Replica>> slots;
-    /// Routable replicas: slots [0, active) serve traffic. Only Deploy,
-    /// the controller, and StopJob write it (mutually serialized).
+    /// Running replicas: slots [0, active). Only Deploy, the controller,
+    /// and StopJob write it (mutually serialized).
     std::atomic<size_t> active{0};
     /// Constructed slots: [0, created) are safe to dereference.
     std::atomic<size_t> created{0};
-    /// Job-level shutdown (Undeploy), as opposed to per-replica stopping.
-    std::atomic<bool> stopping{false};
     /// Current accuracy variant level, applied by every replica at batch
     /// execution time.
     std::atomic<int> variant_level{0};
 
-    /// Producer-side counters. `queued` counts requests admitted but not
-    /// yet batched, expired, or failed (all rings + all local queues): the
-    /// "queued" term of the conservation identity and the admission gate.
-    std::atomic<int64_t> arrived{0};
-    std::atomic<int64_t> dropped{0};
-    std::atomic<int64_t> queued{0};
+    /// The job's request queue, oldest first, and everything admission
+    /// touches. `queue.size()` is the "queued" term of the conservation
+    /// identity.
+    std::mutex queue_mu;
+    std::condition_variable queue_cv;  // dispatchers wait here
+    RingDeque<Pending> queue;
+    int64_t arrived = 0;
+    int64_t dropped = 0;
+    bool stopping = false;  // Undeploy
 
     /// ReplicaController plumbing (autoscale only).
     std::thread controller;
@@ -424,25 +394,15 @@ class InferenceRuntime {
   static std::unique_ptr<SchedulerPolicy> MakePolicy(const Job& job,
                                                      size_t replica_index);
   /// Activates slot `index` (== job->active): constructs it on first use
-  /// (net clones, ring, policy) or reopens its ring, starts its dispatcher
-  /// thread, then publishes the new active count. Caller must be the only
-  /// lifecycle writer (Deploy before threads exist, else the controller).
+  /// (net clones, policy), starts its dispatcher thread, then publishes the
+  /// new active count. Caller must be the only lifecycle writer (Deploy
+  /// before threads exist, else the controller).
   static void StartReplica(const std::shared_ptr<Job>& job, size_t index);
-  /// Retires the highest active slot: unpublishes it from the router,
-  /// closes its ring, and joins its dispatcher — which re-routes every
-  /// drained request to the surviving replicas, so nothing is lost or
-  /// answered twice. Same caller constraint as StartReplica.
+  /// Retires the highest active slot: flags it and joins its dispatcher.
+  /// Same caller constraint as StartReplica.
   static void RetireReplica(Job& job, size_t index);
   static void ReplicaLoop(const std::shared_ptr<Job>& job, Replica* self);
   static void ControllerLoop(const std::shared_ptr<Job>& job);
-  /// Before sleeping on an empty queue: ask the most loaded replica
-  /// (queue > steal_threshold) for work by CAS-posting our index into its
-  /// steal_request.
-  static void MaybePostSteal(Job& job, Replica& self);
-  /// At the loop top: if a thief asked and we hold a surplus, donate half
-  /// our local queue through the thief's ring and ring its doorbell.
-  static void ServiceStealRequest(Job& job, Replica& self,
-                                  RingDeque<Pending>& lq);
   /// Runs one batch on the replica's clones of the models selected by
   /// `model_mask`, answers its continuations, and folds the realized
   /// Equation 7 reward — including `expired_unrewarded` not-yet-charged

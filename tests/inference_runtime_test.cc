@@ -237,15 +237,13 @@ TEST(InferenceRuntimeTest, BoundedQueueDropsWhenFull) {
 }
 
 TEST(InferenceRuntimeTest, ConcurrentSubmitStormConservesAccounting) {
-  // Regression for the lock-free submit path: with many producers racing
-  // the MPSC ring (and the bounded-queue admission gate dropping under
-  // pressure), the books must still balance exactly at quiescence:
+  // With many producers racing the submit path (and the bounded-queue
+  // admission gate dropping under pressure), the books must still balance
+  // exactly at quiescence:
   //
   //   arrived == processed + dropped + expired,  queue_depth == 0
   //
-  // where every term is cross-checked against caller-side counts. The old
-  // mutex+condvar queue made this trivially true; the ring + atomic
-  // counters have to earn it.
+  // where every term is cross-checked against caller-side counts.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
   InferenceRuntime runtime;

@@ -1,7 +1,7 @@
-// The replicated serving plane (DESIGN.md §15): sharded replica
-// dispatchers behind the least-loaded router, cooperative work stealing,
-// ReplicaController scale-up/down storms, and the accuracy-variant
-// downshift. The storm tests assert the two book-keeping invariants —
+// The replicated serving plane (DESIGN.md §15): replica dispatchers that
+// share one request queue per job, ReplicaController scale-up/down storms,
+// the accuracy-variant downshift, and closed-loop liveness through the
+// HTTP gateway. The storm tests assert the two book-keeping invariants —
 // exact conservation (arrived == processed + dropped + expired + queued)
 // and exactly-once 504 charging (overdue == reward_overdue +
 // reward_pending_overdue) — while the controller is actively resizing;
@@ -17,11 +17,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/mpsc_ring.h"
 #include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/loadgen.h"
 #include "net/socket.h"
 #include "nn/layer.h"
 #include "ps/parameter_server.h"
@@ -49,8 +49,8 @@ ServableModel MakeIdentityModel(int64_t dim, double accuracy,
 }
 
 /// A compute-heavy servable (labels are arbitrary): slows the dispatch
-/// loop enough that queues build up and the controller/stealing paths have
-/// real backlog to work against.
+/// loop enough that the queue builds up and the controller has real
+/// backlog to work against.
 ServableModel MakeHeavyModel(int64_t dim, int64_t hidden, double accuracy,
                              const std::string& name) {
   Rng rng(7);
@@ -166,63 +166,41 @@ TEST(ReplicaRuntimeTest, PolicyFactorySeesReplicaIndices) {
   ASSERT_TRUE(runtime.Undeploy("j").ok());
 }
 
-TEST(ReplicaRuntimeTest, WorkStealingMovesWorkAndCompletesExactlyOnce) {
+TEST(ReplicaRuntimeTest, ReplicasShareOneQueue) {
+  // Both replicas batch from the job's one queue: a burst of max(B)
+  // requests is one full batch at once, not two half batches that each
+  // wait out the SLO on a replica of their own.
   InferenceRuntime runtime;
   std::vector<ServableModel> models;
-  models.push_back(MakeHeavyModel(32, 512, 0.9, "heavy"));
+  models.push_back(MakeIdentityModel(8, 0.9, "id"));
   RuntimeOptions options;
-  options.tau = 2.0;  // soft: nothing expires, every request is answered
-  options.batch_sizes = {1, 2};
-  options.queue_capacity = 4096;
+  options.tau = 2.0;
+  options.batch_sizes = {1, 2, 4, 8, 16, 32};
   options.replicas = 2;
-  options.steal_threshold = 1;
   ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
 
-  // Repeated bursts: the router splits each burst by load, and whichever
-  // replica drains first goes idle while the other still holds backlog —
-  // the steal window. Statistical but heavily repeated, with a bound.
-  std::atomic<int64_t> accepted{0};
-  std::atomic<int64_t> callbacks{0};
-  std::atomic<int64_t> failed{0};
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::seconds(20);
-  int64_t steals = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    constexpr int kBurst = 96;
-    std::vector<std::future<Result<EnsemblePrediction>>> futures;
-    futures.reserve(kBurst);
-    for (int i = 0; i < kBurst; ++i) {
-      auto submitted = runtime.Submit("j", OneHot(32, i % 32));
-      if (!submitted.ok()) continue;  // transient queue-full: fine
-      ++accepted;
-      futures.push_back(std::move(*submitted));
-    }
-    for (auto& f : futures) {
-      Result<EnsemblePrediction> answer = f.get();
-      ++callbacks;
-      if (!answer.ok()) ++failed;
-    }
-    steals = MustMetrics(runtime, "j").steals;
-    if (steals > 0) break;
+  constexpr int kRequests = 32;
+  auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<Result<EnsemblePrediction>>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    auto submitted = runtime.Submit("j", OneHot(8, i % 8));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(*submitted));
   }
-  EXPECT_GT(steals, 0) << "no steal observed within the time bound";
-  // Exactly-once: every accepted request produced exactly one callback,
-  // and none failed (the job was never resized or stopped).
-  EXPECT_EQ(callbacks.load(), accepted.load());
-  EXPECT_EQ(failed.load(), 0);
+  for (int i = 0; i < kRequests; ++i) {
+    Result<EnsemblePrediction> answer = futures[i].get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->label, i % 8) << "request " << i;
+  }
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_LT(elapsed, 0.5);
 
   auto metrics = MustMetrics(runtime, "j");
-  EXPECT_EQ(metrics.arrived,
-            metrics.processed + metrics.dropped + metrics.expired +
-                metrics.queue_depth);
-  EXPECT_EQ(metrics.processed, accepted.load());
-  // The stolen requests are attributed to the replicas that received them.
-  int64_t per_replica_steals = 0;
-  for (const ReplicaGauges& g : metrics.replica_gauges) {
-    per_replica_steals += g.steals;
-  }
-  EXPECT_EQ(per_replica_steals, metrics.steals);
-  ExpectChargingInvariant(metrics);
+  EXPECT_EQ(metrics.batches, 1);
+  EXPECT_EQ(metrics.max_batch, kRequests);
+  EXPECT_EQ(metrics.processed, kRequests);
   ASSERT_TRUE(runtime.Undeploy("j").ok());
 }
 
@@ -408,34 +386,6 @@ TEST(ReplicaRuntimeTest, VariantDownshiftTradesAccuracyForLatency) {
   ASSERT_TRUE(runtime.Undeploy("j").ok());
 }
 
-TEST(ReplicaRuntimeTest, MpscRingReopenServesASecondConsumerLifetime) {
-  MpscRing<int> ring(8);
-  EXPECT_EQ(ring.TryPush(1), MpscRing<int>::PushResult::kOk);
-  EXPECT_EQ(ring.TryPush(2), MpscRing<int>::PushResult::kOk);
-  ring.Close();
-  EXPECT_EQ(ring.TryPush(3), MpscRing<int>::PushResult::kClosed);
-  std::vector<int> drained;
-  ring.DrainClosed([&](int&& v) { drained.push_back(v); });
-  EXPECT_EQ(drained, (std::vector<int>{1, 2}));
-
-  // Reopen: producers succeed again and the next consumer sees exactly the
-  // post-reopen values (scale-down/up cycle of a replica slot).
-  ring.Reopen();
-  EXPECT_FALSE(ring.closed());
-  EXPECT_EQ(ring.TryPush(4), MpscRing<int>::PushResult::kOk);
-  EXPECT_EQ(ring.TryPush(5), MpscRing<int>::PushResult::kOk);
-  std::vector<int> second;
-  ring.ConsumeBatch(16, [&](int&& v) { second.push_back(v); });
-  EXPECT_EQ(second, (std::vector<int>{4, 5}));
-
-  // A second close/drain cycle still conserves.
-  EXPECT_EQ(ring.TryPush(6), MpscRing<int>::PushResult::kOk);
-  ring.Close();
-  std::vector<int> last;
-  ring.DrainClosed([&](int&& v) { last.push_back(v); });
-  EXPECT_EQ(last, (std::vector<int>{6}));
-}
-
 /// Reads until `want` responses parsed (or peer close); returns
 /// (status, body) pairs in wire order.
 std::vector<std::pair<int, std::string>> ReadResponses(int fd, size_t want) {
@@ -466,33 +416,39 @@ std::string Field(const std::string& body, const std::string& key) {
   return "";
 }
 
-TEST(ReplicaRuntimeTest, PipelinedHttpResponsesStayInSubmitOrder) {
-  // The per-connection guarantee the work-stealing design must not break:
-  // requests pipelined on one connection come back in submit order even
-  // when their batches execute on different replicas (or migrate between
-  // them mid-queue). The HTTP data plane sequences responses per
-  // connection; this drives it end-to-end through a multi-replica job.
-  api::Rafiki service;
+constexpr int64_t kHttpDim = 8;
+
+/// Stores an 8 -> 8 identity MLP in the service's parameter server and
+/// deploys it with `options`; returns the job id.
+Result<std::string> DeployIdentityJob(api::Rafiki& service,
+                                      const RuntimeOptions& options) {
   ps::ModelCheckpoint ckpt;
-  constexpr int64_t kDim = 8;
-  Tensor weight({kDim, kDim});
-  for (int64_t i = 0; i < kDim; ++i) weight.at2(i, i) = 1.0f;
+  Tensor weight({kHttpDim, kHttpDim});
+  for (int64_t i = 0; i < kHttpDim; ++i) weight.at2(i, i) = 1.0f;
   ckpt.params.emplace_back("fc0/weight", weight);
-  ckpt.params.emplace_back("fc0/bias", Tensor({1, kDim}));
+  ckpt.params.emplace_back("fc0/bias", Tensor({1, kHttpDim}));
   ckpt.meta.accuracy = 0.9;
-  ASSERT_TRUE(service.parameter_server()
-                  .PutModel("serve/replica-test/best", ckpt)
-                  .ok());
+  RAFIKI_RETURN_IF_ERROR(
+      service.parameter_server().PutModel("serve/replica-test/best", ckpt));
   api::ModelHandle handle;
   handle.scope = "serve/replica-test/best";
   handle.model_name = "mlp";
   handle.accuracy = 0.9;
+  return service.Deploy({handle}, options);
+}
+
+TEST(ReplicaRuntimeTest, PipelinedHttpResponsesStayInSubmitOrder) {
+  // Requests pipelined on one connection come back in submit order even
+  // when their batches execute on different replicas. The HTTP data plane
+  // sequences responses per connection; this drives it end-to-end through
+  // a multi-replica job.
+  api::Rafiki service;
+  constexpr int64_t kDim = kHttpDim;
   RuntimeOptions serve_opts;
   serve_opts.tau = 0.5;
   serve_opts.batch_sizes = {1};  // maximal interleaving across replicas
   serve_opts.replicas = 2;
-  serve_opts.steal_threshold = 1;
-  auto deployed = service.Deploy({handle}, serve_opts);
+  auto deployed = DeployIdentityJob(service, serve_opts);
   ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
 
   api::Gateway gateway(&service);
@@ -538,6 +494,52 @@ TEST(ReplicaRuntimeTest, PipelinedHttpResponsesStayInSubmitOrder) {
             metrics->processed + metrics->dropped + metrics->expired +
                 metrics->queue_depth);
   server.Stop();
+}
+
+TEST(ReplicaRuntimeTest, ClosedLoopRunsLeaveNoRequestBehind) {
+  // Liveness: every request a 256-connection closed loop sends through the
+  // async gateway to a 2-replica job gets its response on the wire within
+  // the run. A reply stranded between the dispatcher's completion and the
+  // event loop's flush would surface as a loadgen error at its hard stop.
+  api::Rafiki service;
+  RuntimeOptions serve_opts;
+  serve_opts.replicas = 2;
+  auto deployed = DeployIdentityJob(service, serve_opts);
+  ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
+
+  api::Gateway gateway(&service);
+  net::HttpServerOptions opts;
+  opts.num_workers = 2;
+  opts.max_inflight = 1024;
+  opts.listen_backlog = 1024;  // all 256 connections SYN at once
+  opts.inline_handlers = true;
+  net::HttpServer server(api::MakeGatewayAsyncHttpHandler(&gateway), opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  net::LoadGenOptions load;
+  load.port = server.port();
+  load.method = "POST";
+  load.target = "/jobs/" + *deployed + "/query";
+  load.body = "0,1,0,0,0,0,0,0";
+  load.open_loop = false;
+  load.connections = 256;
+  load.duration_seconds = 0.5;
+  load.tau = 10.0;
+  for (int run = 0; run < 3; ++run) {
+    net::LoadGenReport report = net::RunLoadGen(load);
+    EXPECT_EQ(report.errors, 0) << "run " << run << ": " << report.ToString();
+    EXPECT_EQ(report.completed, report.arrived) << "run " << run;
+    EXPECT_GT(report.completed, 0) << "run " << run;
+  }
+  server.Stop();
+
+  net::HttpServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_total, stats.responses_total);
+  auto metrics = service.InferenceMetrics(*deployed);
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics->arrived,
+            metrics->processed + metrics->dropped + metrics->expired +
+                metrics->queue_depth);
 }
 
 }  // namespace
