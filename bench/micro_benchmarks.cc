@@ -232,10 +232,13 @@ BENCHMARK(BM_MlpTrainStep);
 // Same workload as BM_MlpTrainStep through the workspace/fused hot path
 // (reserved buffers, SoftmaxCrossEntropyInto, cached ParamList) — the
 // allocation-free step the trainers now run; the pair quantifies what the
-// value-semantics wrappers cost.
+// value-semantics wrappers cost. The argument is the dropout rate in
+// percent: /25 adds the mask draws every tuning trial pays (the search
+// spaces draw dropout from [0, 0.5]).
 void BM_MlpTrainStepFused(benchmark::State& state) {
   Rng rng(3);
-  nn::Net net = nn::MakeMlp({32, 64, 10}, 0.1f, 0.0f, rng);
+  float dropout = static_cast<float>(state.range(0)) / 100.0f;
+  nn::Net net = nn::MakeMlp({32, 64, 10}, 0.1f, dropout, rng);
   nn::Sgd sgd(nn::SgdOptions{});
   nn::Workspace ws;
   net.Reserve({32, 32}, &ws);
@@ -252,7 +255,7 @@ void BM_MlpTrainStepFused(benchmark::State& state) {
     benchmark::DoNotOptimize(loss.loss);
   }
 }
-BENCHMARK(BM_MlpTrainStepFused);
+BENCHMARK(BM_MlpTrainStepFused)->Arg(0)->Arg(25);
 
 // Allocation-free workspace training step (Net::Forward/Backward into a
 // reserved Workspace + fused SGD), sharded across `shards` data-parallel

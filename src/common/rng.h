@@ -1,6 +1,7 @@
 #ifndef RAFIKI_COMMON_RNG_H_
 #define RAFIKI_COMMON_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -11,6 +12,10 @@ namespace rafiki {
 /// stochastic behaviour is needed. Every experiment takes a seed so runs are
 /// reproducible; `Fork()` derives decorrelated child streams (one per
 /// worker / per trial) without the children sharing state.
+///
+/// The engine is MT19937-64, whose output sequence the C++ standard fixes,
+/// so every draw below equals the std distribution's over the standard
+/// library's 64-bit Mersenne Twister with the same seed.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -44,6 +49,12 @@ class Rng {
     return dist(engine_);
   }
 
+  /// The c for which `Next64() < c` is exactly `Bernoulli(p)` on the same
+  /// draw, for p < 1: the smallest draw whose canonical double (the
+  /// conversion `std::generate_canonical` makes) is >= p. One compare per
+  /// draw instead of a u64 -> double conversion and a data-dependent select.
+  static uint64_t BernoulliCutoff(double p);
+
   /// Log-uniform double in [lo, hi); lo, hi must be positive.
   double LogUniform(double lo, double hi);
 
@@ -69,10 +80,37 @@ class Rng {
   /// Raw 64-bit draw.
   uint64_t Next64() { return engine_(); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  /// MT19937-64 (Matsumoto & Nishimura), a UniformRandomBitGenerator for
+  /// the std distributions above. The twist applies the matrix A as
+  /// `-(y & 1) & a` rather than `(y & 1) ? a : 0`, which compilers may emit
+  /// as a conditional jump on a random bit.
+  class Mt64 {
+   public:
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~uint64_t{0}; }
+
+    explicit Mt64(uint64_t seed);
+
+    result_type operator()() {
+      if (i_ >= kN) Twist();
+      uint64_t z = x_[i_++];
+      z ^= (z >> 29) & 0x5555555555555555ULL;
+      z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+      z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+      return z ^ (z >> 43);
+    }
+
+   private:
+    static constexpr size_t kN = 312;
+    void Twist();
+
+    uint64_t x_[kN];
+    size_t i_;
+  };
+
+  Mt64 engine_;
 };
 
 }  // namespace rafiki

@@ -1,5 +1,6 @@
 #include "nn/layer.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -59,6 +60,7 @@ void Linear::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
     const float* row = grad_output.data() + r * out_features_;
     for (int64_t c = 0; c < out_features_; ++c) bg[c] += row[c];
   }
+  if (grad_input == nullptr) return;
   grad_input->EnsureShape2(batch, in_features_);
   grad_input->Fill(0.0f);
   kernels::GemmNT(grad_output.data(), weight_.value.data(),
@@ -80,19 +82,26 @@ void Relu::ForwardInto(const Tensor& input, bool train, Tensor* out) {
 }
 
 void Relu::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
+  if (grad_input == nullptr) return;
   RAFIKI_CHECK(cached_input_.SameShape(grad_output));
   grad_input->EnsureShape(grad_output.shape());
   const float* in = cached_input_.data();
   const float* g = grad_output.data();
   float* o = grad_input->data();
   int64_t n = grad_output.numel();
-  for (int64_t i = 0; i < n; ++i) o[i] = in[i] > 0.0f ? g[i] : 0.0f;
+  // Load g[i] whatever the sign, then select: with the load unconditional
+  // the loop becomes a compare and a blend, and the vectorizer takes it.
+  for (int64_t i = 0; i < n; ++i) {
+    float gi = g[i];
+    o[i] = in[i] > 0.0f ? gi : 0.0f;
+  }
 }
 
 Dropout::Dropout(float rate, uint64_t seed, std::string name)
     : rate_(rate), rng_(seed), name_(std::move(name)) {
   RAFIKI_CHECK_GE(rate, 0.0f);
   RAFIKI_CHECK_LT(rate, 1.0f);
+  cutoff_ = Rng::BernoulliCutoff(rate);
 }
 
 Shape Dropout::Reserve(const Shape& input_shape) {
@@ -113,14 +122,23 @@ void Dropout::ForwardInto(const Tensor& input, bool train, Tensor* out) {
   const float* in = input.data();
   float* o = out->data();
   int64_t n = input.numel();
+  // One draw per element, dropped exactly where Rng::Bernoulli would say so
+  // at this rate.
+  // The keep bit widens to an all-ones or all-zero word that masks scale's
+  // bits (+0 when dropped): written as a select or as scale * bit, GCC
+  // branches on the random bit and mispredicts a rate's share of elements.
+  const uint64_t cutoff = cutoff_;
+  const auto scale_bits = std::bit_cast<uint32_t>(scale);
   for (int64_t i = 0; i < n; ++i) {
-    m[i] = rng_.Bernoulli(rate_) ? 0.0f : scale;
+    uint32_t keep = 0u - static_cast<uint32_t>(rng_.Next64() >= cutoff);
+    m[i] = std::bit_cast<float>(keep & scale_bits);
     o[i] = in[i] * m[i];
   }
   mask_valid_ = true;
 }
 
 void Dropout::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
+  if (grad_input == nullptr) return;
   if (!mask_valid_) {
     grad_input->CopyFrom(grad_output);
     return;
@@ -203,8 +221,10 @@ void Conv2D::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
   int64_t batch = input.dim(0);
   int64_t h = input.dim(2), w = input.dim(3);
   int64_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  grad_input->EnsureShape(input.shape());
-  grad_input->Fill(0.0f);
+  if (grad_input != nullptr) {
+    grad_input->EnsureShape(input.shape());
+    grad_input->Fill(0.0f);
+  }
   int64_t col_rows = in_channels_ * kernel_ * kernel_;
   int64_t col_cols = oh * ow;
   col_.resize(static_cast<size_t>(col_rows * col_cols));
@@ -225,6 +245,7 @@ void Conv2D::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
       for (int64_t i = 0; i < col_cols; ++i) s += row[i];
       bg[oc] += static_cast<float>(s);
     }
+    if (grad_input == nullptr) continue;
     // dcol = W^T · g_n, then scatter-accumulate back to the input image.
     std::fill(grad_col_.begin(), grad_col_.end(), 0.0f);
     kernels::GemmTN(wt, go_n, grad_col_.data(), col_rows, out_channels_,
@@ -320,10 +341,13 @@ void BatchNorm::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
   RAFIKI_CHECK(cached_xhat_.SameShape(grad_output))
       << "Backward without a training Forward";
   int64_t n = grad_output.dim(0);
-  grad_input->EnsureShape(grad_output.shape());
+  float* gi = nullptr;
+  if (grad_input != nullptr) {
+    grad_input->EnsureShape(grad_output.shape());
+    gi = grad_input->data();
+  }
   const float* go = grad_output.data();
   const float* cx = cached_xhat_.data();
-  float* gi = grad_input->data();
   float* gg = gamma_.grad.data();
   float* bg = beta_.grad.data();
   const float* gm = gamma_.value.data();
@@ -337,6 +361,7 @@ void BatchNorm::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
     }
     gg[d] += static_cast<float>(sum_dy_xhat);
     bg[d] += static_cast<float>(sum_dy);
+    if (gi == nullptr) continue;
     double g = gm[d];
     double inv_std = cached_inv_std_[static_cast<size_t>(d)];
     for (int64_t i = 0; i < n; ++i) {
@@ -406,6 +431,7 @@ void MaxPool2D::ForwardInto(const Tensor& input, bool train, Tensor* out) {
 }
 
 void MaxPool2D::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
+  if (grad_input == nullptr) return;
   RAFIKI_CHECK_EQ(static_cast<size_t>(grad_output.numel()), argmax_.size())
       << "Backward without matching Forward";
   grad_input->EnsureShape(cached_input_shape_);
@@ -436,6 +462,7 @@ void Flatten::ForwardInto(const Tensor& input, bool train, Tensor* out) {
 }
 
 void Flatten::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
+  if (grad_input == nullptr) return;
   grad_input->EnsureShape(cached_shape_);
   std::memcpy(grad_input->data(), grad_output.data(),
               static_cast<size_t>(grad_output.numel()) * sizeof(float));

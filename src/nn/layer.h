@@ -39,7 +39,9 @@ class Layer {
   virtual void ForwardInto(const Tensor& input, bool train, Tensor* out) = 0;
 
   /// Given dL/d(output), accumulates parameter grads and writes
-  /// dL/d(input) into `*grad_input` (must not alias `grad_output`).
+  /// dL/d(input) into `*grad_input` (must not alias `grad_output`). A null
+  /// `grad_input` skips the input gradient and keeps the parameter grads:
+  /// a net's first layer has no consumer for it.
   virtual void BackwardInto(const Tensor& grad_output,
                             Tensor* grad_input) = 0;
 
@@ -132,6 +134,7 @@ class Dropout : public Layer {
 
  private:
   float rate_;
+  uint64_t cutoff_;  // Rng::BernoulliCutoff(rate_): draws below it drop
   Rng rng_;
   Tensor mask_;
   bool mask_valid_ = false;  // a training Forward has populated mask_

@@ -28,10 +28,13 @@ const Tensor& Net::Forward(const Tensor& input, bool train, Workspace* ws) {
 void Net::Backward(const Tensor& grad_output, Workspace* ws) {
   RAFIKI_CHECK_GT(layers_.size(), 0u);
   if (ws->grads.size() != layers_.size()) ws->grads.resize(layers_.size());
+  // The first layer gets no grad_input: nothing reads dL/d(net input), so
+  // it skips that work (a GEMM for Linear) and grads[0] stays empty.
   const Tensor* g = &grad_output;
   for (size_t i = layers_.size(); i > 0; --i) {
-    layers_[i - 1]->BackwardInto(*g, &ws->grads[i - 1]);
-    g = &ws->grads[i - 1];
+    Tensor* gi = i > 1 ? &ws->grads[i - 1] : nullptr;
+    layers_[i - 1]->BackwardInto(*g, gi);
+    g = gi;
   }
 }
 
@@ -41,7 +44,7 @@ void Net::Reserve(const Shape& input_shape, Workspace* ws) {
   ws->grads.resize(layers_.size());
   Shape shape = input_shape;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    ws->grads[i].EnsureShape(shape);  // dL/d(input of layer i)
+    if (i > 0) ws->grads[i].EnsureShape(shape);  // dL/d(input of layer i)
     shape = layers_[i]->Reserve(shape);
     ws->acts[i].EnsureShape(shape);  // output of layer i
   }

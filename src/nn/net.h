@@ -19,8 +19,9 @@ namespace rafiki::nn {
 class Workspace {
  public:
   /// acts[i] holds the output of layer i; grads[i] holds dL/d(input of
-  /// layer i). Sized lazily by Net::Forward/Backward or eagerly by
-  /// Net::Reserve.
+  /// layer i) for i > 0. grads[0], the gradient w.r.t. the net's input, has
+  /// no consumer and stays empty. Sized lazily by Net::Forward/Backward or
+  /// eagerly by Net::Reserve.
   std::vector<Tensor> acts;
   std::vector<Tensor> grads;
 };
@@ -49,7 +50,8 @@ class Net {
   /// valid until the next Forward with the same workspace.
   const Tensor& Forward(const Tensor& input, bool train, Workspace* ws);
   /// Backpropagates dL/d(output) through every layer; parameter grads
-  /// accumulate into each layer's ParamTensor::grad.
+  /// accumulate into each layer's ParamTensor::grad. The gradient w.r.t. the
+  /// net's input is not computed.
   void Backward(const Tensor& grad_output, Workspace* ws);
 
   /// Pre-sizes `ws` and every layer-internal cache for inputs of

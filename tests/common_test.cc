@@ -1,3 +1,4 @@
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -120,6 +121,52 @@ TEST(RngTest, ForkDecorrelates) {
   Rng child2 = parent.Fork();
   // Different forks should produce different streams.
   EXPECT_NE(child1.Next64(), child2.Next64());
+}
+
+TEST(RngTest, MatchesStdMt19937_64) {
+  // Rng carries its own MT19937-64. Its raw stream, and every draw built on
+  // it, must equal std::mt19937_64's and the std distributions' over it, so
+  // no seeded stream, test threshold or figure depends on which engine
+  // implementation runs.
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{5489},
+                        uint64_t{2018}, ~uint64_t{0}}) {
+    SCOPED_TRACE(seed);
+    {
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      int64_t first_mismatch = -1;
+      for (int64_t i = 0; i < 1000000 && first_mismatch < 0; ++i) {
+        if (rng.Next64() != ref()) first_mismatch = i;
+      }
+      EXPECT_EQ(first_mismatch, -1);
+    }
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    // About 15 draws a round, so the rounds cross many 312-word twists.
+    for (int round = 0; round < 400; ++round) {
+      SCOPED_TRACE(round);
+      ASSERT_EQ(rng.Uniform(-2.0, 3.0),
+                std::uniform_real_distribution<double>(-2.0, 3.0)(ref));
+      ASSERT_EQ(rng.UniformInt(-5, 1000),
+                std::uniform_int_distribution<int64_t>(-5, 1000)(ref));
+      ASSERT_EQ(rng.Gaussian(1.0, 2.0),
+                std::normal_distribution<double>(1.0, 2.0)(ref));
+      ASSERT_EQ(rng.Bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+      std::vector<int> got(10);
+      for (size_t i = 0; i < got.size(); ++i) got[i] = static_cast<int>(i);
+      std::vector<int> want = got;
+      rng.Shuffle(got);
+      for (size_t i = want.size(); i > 1; --i) {
+        auto j = std::uniform_int_distribution<int64_t>(
+            0, static_cast<int64_t>(i) - 1)(ref);
+        std::swap(want[i - 1], want[static_cast<size_t>(j)]);
+      }
+      ASSERT_EQ(got, want);
+      Rng child = rng.Fork();
+      std::mt19937_64 ref_child(Rng::Mix(ref()));
+      ASSERT_EQ(child.Next64(), ref_child());
+    }
+  }
 }
 
 TEST(RngTest, ShufflePreservesElements) {

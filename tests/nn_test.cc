@@ -1,6 +1,9 @@
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -112,6 +115,35 @@ TEST(Conv2DTest, OutputShapeWithPadding) {
   EXPECT_EQ(valid.Forward(x, false).shape(), (Shape{2, 4, 6, 6}));
 }
 
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+TEST(ReluTest, BackwardSelectsGradient) {
+  // Backward selects the incoming gradient where the input was positive and
+  // writes +0 elsewhere, whatever the gradient holds. Multiplying by a 0/1
+  // mask instead would turn a NaN or inf there into NaN.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float in[] = {-1.0f, 0.0f, -0.0f, nan, -2.0f, 2.0f, 3.0f, 4.0f, -3.0f};
+  const float go[] = {nan, inf, -inf, 5.0f, -0.0f, -0.0f, 1.5f, nan, nan};
+  const float want[] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, -0.0f, 1.5f, nan, 0.0f};
+  constexpr int64_t kPattern = 9, kRepeats = 7;  // vector body and tail
+  Tensor x({1, kPattern * kRepeats}), g({1, kPattern * kRepeats});
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    x.at(i) = in[i % kPattern];
+    g.at(i) = go[i % kPattern];
+  }
+  Relu relu;
+  relu.Forward(x, /*train=*/true);
+  Tensor gi = relu.Backward(g);
+  for (int64_t i = 0; i < gi.numel(); ++i) {
+    EXPECT_EQ(Bits(gi.at(i)), Bits(want[i % kPattern])) << "element " << i;
+  }
+}
+
 TEST(DropoutTest, InferenceIsIdentity) {
   Dropout drop(0.5f, 7);
   Tensor x({1, 100});
@@ -131,6 +163,51 @@ TEST(DropoutTest, TrainKeepsExpectedScale) {
   Tensor g = drop.Backward(x);
   for (int64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(g.at(i) == 0.0f, y.at(i) == 0.0f);
+  }
+}
+
+/// A bit generator that returns one fixed draw, to put a chosen 64-bit
+/// value through std::bernoulli_distribution.
+struct FixedDraw {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~uint64_t{0}; }
+  result_type operator()() { return value; }
+  uint64_t value;
+};
+
+TEST(DropoutTest, MaskMatchesBernoulliDraws) {
+  // The mask compares each draw with a precomputed cutoff. It must drop
+  // exactly the elements std::bernoulli_distribution(rate) drops on the same
+  // draws, at rates on and off binary fractions, a tiny one, and the float
+  // just below 0.5.
+  const uint64_t kSeed = 99;
+  for (float rate : {0.5f, 0.25f, 1.0f / 3.0f, 1e-20f,
+                     std::nextafter(0.5f, 0.0f)}) {
+    SCOPED_TRACE(rate);
+    Dropout drop(rate, kSeed);
+    std::mt19937_64 ref(kSeed);
+    std::bernoulli_distribution bernoulli(rate);
+    Tensor x({8, 1000});
+    x.Fill(1.0f);
+    int64_t mismatches = 0;
+    for (int pass = 0; pass < 2; ++pass) {  // the stream spans forwards
+      Tensor y = drop.Forward(x, /*train=*/true);
+      for (int64_t i = 0; i < y.numel(); ++i) {
+        if ((y.at(i) == 0.0f) != bernoulli(ref)) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+
+    // The draws next to the cutoff: x < c must agree with the canonical
+    // double x * 2^-64 < rate, and with the distribution itself.
+    uint64_t c = Rng::BernoulliCutoff(rate);
+    for (uint64_t draw : {c - 1, c, c + 1}) {
+      SCOPED_TRACE(draw);
+      EXPECT_EQ(draw < c, std::ldexp(static_cast<double>(draw), -64) < rate);
+      FixedDraw fixed{draw};
+      EXPECT_EQ(draw < c, bernoulli(fixed));
+    }
   }
 }
 
@@ -404,6 +481,67 @@ TEST(NetTest, CloneIsDeepAndIndependent) {
   Tensor after = clone.Forward(x, /*train=*/false);
   for (int64_t i = 0; i < after.numel(); ++i) {
     EXPECT_FLOAT_EQ(after.at(i), clone_logits.at(i));
+  }
+}
+
+/// Net::Backward skips the first layer's input gradient. The parameter
+/// grads it leaves must equal, bit for bit, those from running each layer's
+/// own Backward in reverse, which computes every input gradient.
+void ExpectBackwardSkipsOnlyInputGradient(Net& net, const Tensor& x,
+                                          const std::vector<int64_t>& labels) {
+  Net ref = net.Clone();  // same weights and, from here on, dropout stream
+  Workspace ws;
+  net.ZeroGrad();
+  net.Backward(SoftmaxCrossEntropy(net.Forward(x, true, &ws), labels).grad,
+               &ws);
+  EXPECT_EQ(ws.grads[0].numel(), 0) << "the input gradient was computed";
+
+  ref.ZeroGrad();
+  Tensor g = SoftmaxCrossEntropy(ref.Forward(x, true), labels).grad;
+  for (size_t i = ref.num_layers(); i > 0; --i) g = ref.layer(i - 1).Backward(g);
+  ASSERT_EQ(g.shape(), x.shape());
+
+  std::vector<ParamTensor*> got = net.Params(), want = ref.Params();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i]->grad.SameShape(want[i]->grad)) << got[i]->name;
+    EXPECT_GT(want[i]->grad.SquaredNorm(), 0.0f) << want[i]->name;
+    EXPECT_EQ(0, std::memcmp(got[i]->grad.data(), want[i]->grad.data(),
+                             static_cast<size_t>(got[i]->grad.numel()) *
+                                 sizeof(float)))
+        << got[i]->name;
+  }
+}
+
+TEST(NetTest, BackwardSkipsOnlyTheInputGradient) {
+  Rng rng(31);
+  {
+    SCOPED_TRACE("mlp with dropout");
+    Net mlp = MakeMlp({6, 16, 12, 4}, 0.3f, /*dropout=*/0.25f, rng);
+    ExpectBackwardSkipsOnlyInputGradient(mlp, Tensor::Randn({8, 6}, rng),
+                                         {0, 1, 2, 3, 0, 1, 2, 3});
+  }
+  {
+    SCOPED_TRACE("conv first");
+    Net conv;
+    conv.Add(std::make_unique<Conv2D>(2, 3, 3, /*padding=*/1, 0.3f, rng));
+    conv.Add(std::make_unique<Relu>());
+    conv.Add(std::make_unique<MaxPool2D>(2));
+    conv.Add(std::make_unique<Flatten>());
+    conv.Add(std::make_unique<Linear>(12, 3, 0.3f, rng));
+    ExpectBackwardSkipsOnlyInputGradient(
+        conv, Tensor::Randn({2, 2, 4, 4}, rng), {1, 2});
+  }
+  {
+    SCOPED_TRACE("batch norm first");
+    Net bn;
+    bn.Add(std::make_unique<BatchNorm>(6));
+    bn.Add(std::make_unique<Linear>(6, 8, 0.3f, rng));
+    bn.Add(std::make_unique<Relu>());
+    bn.Add(std::make_unique<Dropout>(0.25f, rng.Next64()));
+    bn.Add(std::make_unique<Linear>(8, 3, 0.3f, rng));
+    ExpectBackwardSkipsOnlyInputGradient(bn, Tensor::Randn({6, 6}, rng),
+                                         {0, 1, 2, 0, 1, 2});
   }
 }
 

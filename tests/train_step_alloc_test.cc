@@ -60,11 +60,6 @@ TEST(TrainStepAllocTest, SteadyStateStepIsAllocationFree) {
   ASSERT_LT(2 * kBatch * kIn * kHidden, kernels::kGemmParallelMinFlops);
   ASSERT_LT(kIn * kHidden, Sgd::kParallelMinElems);
 
-  Rng rng(17);
-  Net net = MakeMlp({kIn, kHidden, kClasses}, 0.05f, /*dropout=*/0.0f, rng);
-  Workspace ws;
-  net.Reserve({kBatch, kIn}, &ws);
-
   Tensor x({kBatch, kIn});
   std::vector<int64_t> labels(kBatch);
   for (int64_t i = 0; i < kBatch; ++i) {
@@ -72,28 +67,37 @@ TEST(TrainStepAllocTest, SteadyStateStepIsAllocationFree) {
     labels[static_cast<size_t>(i)] = i % kClasses;
   }
 
-  Sgd sgd(SgdOptions{});
-  LossResult loss;
-  auto step = [&] {
-    net.ZeroGrad();
-    const Tensor& logits = net.Forward(x, /*train=*/true, &ws);
-    SoftmaxCrossEntropyInto(logits, labels, &loss);
-    net.Backward(loss.grad, &ws);
-    sgd.Step(net.ParamList());
-  };
+  // 0.25: tuning trials train with dropout, so the mask path counts too.
+  for (float dropout : {0.0f, 0.25f}) {
+    SCOPED_TRACE(dropout);
+    Rng rng(17);
+    Net net = MakeMlp({kIn, kHidden, kClasses}, 0.05f, dropout, rng);
+    Workspace ws;
+    net.Reserve({kBatch, kIn}, &ws);
 
-  // Warm up: sizes the loss buffer, SGD velocities, and the GEMM kernels'
-  // thread-local pack buffers.
-  for (int i = 0; i < 3; ++i) step();
+    Sgd sgd(SgdOptions{});
+    LossResult loss;
+    auto step = [&] {
+      net.ZeroGrad();
+      const Tensor& logits = net.Forward(x, /*train=*/true, &ws);
+      SoftmaxCrossEntropyInto(logits, labels, &loss);
+      net.Backward(loss.grad, &ws);
+      sgd.Step(net.ParamList());
+    };
 
-  g_allocs.store(0);
-  g_armed.store(true);
-  for (int i = 0; i < 50; ++i) step();
-  g_armed.store(false);
+    // Warm up: sizes the loss buffer, SGD velocities, and the GEMM kernels'
+    // thread-local pack buffers.
+    for (int i = 0; i < 3; ++i) step();
 
-  EXPECT_EQ(g_allocs.load(), 0)
-      << "steady-state Forward+Backward+Step must not touch the heap";
-  EXPECT_GT(loss.loss, 0.0f);  // the steps really computed something
+    g_allocs.store(0);
+    g_armed.store(true);
+    for (int i = 0; i < 50; ++i) step();
+    g_armed.store(false);
+
+    EXPECT_EQ(g_allocs.load(), 0)
+        << "steady-state Forward+Backward+Step must not touch the heap";
+    EXPECT_GT(loss.loss, 0.0f);  // the steps really computed something
+  }
 }
 
 TEST(TrainStepAllocTest, ReserveMakesFirstStepAllocationFree) {
