@@ -605,11 +605,7 @@ void BM_HttpEcho(benchmark::State& state) {
   // One worker: the echo path is run-to-completion, so a second event loop
   // only adds scheduler churn when cores are scarce.
   opts.num_workers = 1;
-  opts.num_handler_threads = 1;
   opts.max_inflight = 1024;
-  // The echo handler is non-blocking, so run-to-completion applies: no
-  // handler-pool handoff, no eventfd wakeup per response.
-  opts.inline_handlers = true;
   net::HttpServer server(
       [](const net::HttpRequest& request, net::HttpServer::ResponseWriter writer) {
         // Fill the pooled slot in place: the allocation-free fast path.
@@ -658,23 +654,17 @@ BENCHMARK(BM_HttpEcho)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Closed-loop serving comparison over real TCP: N keep-alive connections
-// each re-issue a /jobs/<id>/query POST the moment the previous answer
-// lands, against a gateway backed by a checkpoint MLP. Arg is the
-// handler-thread count. The sync path pins one handler thread per in-flight
-// query, so its concurrency (and the batch sizes the runtime can form) is
-// capped at Arg; the async continuation path parks the ResponseWriter and
-// carries all connections on any pool size. Counters: rps (completed
-// requests/s), inflight_peak (server gauge), mean_batch (runtime metric).
+// Closed-loop serving over real TCP: 256 keep-alive connections each
+// re-issue a /jobs/<id>/query POST the moment the previous answer lands,
+// against the async gateway handler on two event loops, backed by a
+// checkpoint MLP. The handler parks the ResponseWriter, so every connection
+// is in flight at once and the policy, not the loops, forms the batches.
+// Counters: rps (completed requests/s), inflight_peak (server gauge),
+// mean_batch (runtime metric).
 constexpr int kServeConnections = 256;
 
-void RunServeClosedLoop(benchmark::State& state, bool async_mode,
-                        bool rl_policy = false, int replicas = 1,
-                        int handler_threads = 0) {
-  if (handler_threads == 0) {
-    handler_threads = static_cast<int>(state.range(0));
-  }
-
+void RunServeClosedLoop(benchmark::State& state, bool rl_policy,
+                        int replicas) {
   // Isolation settle (setup, not timed): the previous serving bench
   // abandons up to 256 client sockets at its hard stop and the server
   // drains responses into them for a while after; on a 1-core host that
@@ -713,27 +703,12 @@ void RunServeClosedLoop(benchmark::State& state, bool async_mode,
   api::Gateway gateway(&service);
   net::HttpServerOptions opts;
   opts.num_workers = 2;
-  opts.num_handler_threads = handler_threads;
   opts.max_inflight = 1024;
   // All 256 connections SYN at once; the default backlog of 128 drops half
   // the handshakes whenever the acceptor is briefly starved, and the
   // 1s-later SYN retransmit lands outside the measurement window.
   opts.listen_backlog = 1024;
-  net::HttpServer::AsyncHandler handler;
-  if (async_mode) {
-    handler = api::MakeGatewayAsyncHttpHandler(&gateway);
-    // The async gateway handler only parses and enqueues; the response is
-    // completed later by the batch thread.
-    // Run-to-completion keeps the parse+submit on the event loop.
-    opts.inline_handlers = true;
-  } else {
-    net::HttpServer::Handler sync = api::MakeGatewayHttpHandler(&gateway);
-    handler = [sync](const net::HttpRequest& request,
-                     net::HttpServer::ResponseWriter writer) {
-      writer.Complete(sync(request));
-    };
-  }
-  net::HttpServer server(handler, opts);
+  net::HttpServer server(api::MakeGatewayAsyncHttpHandler(&gateway), opts);
   if (!server.Start().ok()) {
     state.SkipWithError("server start failed");
     return;
@@ -768,52 +743,27 @@ void RunServeClosedLoop(benchmark::State& state, bool async_mode,
       metrics.ok() ? static_cast<double>(metrics->replicas) : 0.0;
 }
 
-void BM_ServeClosedLoopSync(benchmark::State& state) {
-  RunServeClosedLoop(state, /*async_mode=*/false);
-}
-// /2: the handler pool is the bottleneck (the pre-refactor default shape);
-// /256: thread-per-connection, the only way sync reaches full concurrency.
-BENCHMARK(BM_ServeClosedLoopSync)
-    ->Arg(2)
-    ->Arg(kServeConnections)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_ServeClosedLoopAsync(benchmark::State& state) {
-  RunServeClosedLoop(state, /*async_mode=*/true);
-}
-// Two handler threads only: the continuation path must carry all 256
-// connections regardless, with batches formed by the policy, not the pool.
-BENCHMARK(BM_ServeClosedLoopAsync)
-    ->Arg(2)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void BM_ServeClosedLoopRl(benchmark::State& state) {
-  RunServeClosedLoop(state, /*async_mode=*/true, /*rl_policy=*/true);
+  RunServeClosedLoop(state, /*rl_policy=*/true, /*replicas=*/1);
 }
-// Same continuation path as Async/2 but dispatched by the actor-critic
-// scheduler learning online — the delta against BM_ServeClosedLoopAsync/2
-// is the end-to-end cost of Featurize + policy forward + Record per batch.
+// Same path as Replicas/1 but dispatched by the actor-critic scheduler
+// learning online — the delta against BM_ServeClosedLoopReplicas/1 is the
+// end-to-end cost of Featurize + policy forward + Record per batch.
 BENCHMARK(BM_ServeClosedLoopRl)
-    ->Arg(2)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_ServeClosedLoopReplicas(benchmark::State& state) {
-  RunServeClosedLoop(state, /*async_mode=*/true, /*rl_policy=*/false,
-                     /*replicas=*/static_cast<int>(state.range(0)),
-                     /*handler_threads=*/2);
+  RunServeClosedLoop(state, /*rl_policy=*/false,
+                     /*replicas=*/static_cast<int>(state.range(0)));
 }
 // Arg is the replica-dispatcher count of the deployed job (static, no
-// autoscale): same continuation path and 2-thread handler pool as Async/2,
-// so the delta isolates the replicated serving plane — dispatchers sharing
-// the job's queue, per-replica net clones. On a multicore host req/s
-// scales with replicas; on a 1-core runner real-time stays flat and the
-// replication cost/benefit shows up in cpu_time and mean_batch instead.
+// autoscale) under the greedy policy, so the deltas isolate the replicated
+// serving plane — dispatchers sharing the job's queue, per-replica net
+// clones. On a multicore host req/s scales with replicas; on a 1-core
+// runner real-time stays flat and the replication cost/benefit shows up in
+// cpu_time and mean_batch instead.
 BENCHMARK(BM_ServeClosedLoopReplicas)
     ->Arg(1)
     ->Arg(2)

@@ -145,7 +145,6 @@ ArmResult RunArm(const Flags& flags, const std::string& policy) {
   rafiki::net::HttpServerOptions server_opts;
   server_opts.port = 0;  // ephemeral
   server_opts.num_workers = 2;
-  server_opts.num_handler_threads = 2;
   server_opts.max_inflight = 8192;
   rafiki::net::HttpServer server(
       rafiki::api::MakeGatewayAsyncHttpHandler(&gateway), server_opts);

@@ -61,12 +61,8 @@ std::string FlagString(int argc, char** argv, const char* name,
 int main(int argc, char** argv) {
   auto port = static_cast<uint16_t>(FlagInt(argc, argv, "port", 0));
   auto workers = static_cast<int>(FlagInt(argc, argv, "workers", 2));
-  auto handlers = static_cast<int>(FlagInt(argc, argv, "handlers", 4));
   auto max_inflight =
       static_cast<size_t>(FlagInt(argc, argv, "max-inflight", 256));
-  // --sync=1 restores the blocking handler path (each in-flight query pins
-  // a handler thread); default is the continuation-based async path.
-  bool sync_mode = FlagInt(argc, argv, "sync", 0) != 0;
   // Serving SLO tau in milliseconds; queries queued longer than this are
   // answered 504 instead of occupying batch capacity. --tau-ms=0 disables
   // the queue deadline (soft SLO at the default tau) instead of tripping
@@ -150,7 +146,6 @@ int main(int argc, char** argv) {
   rafiki::net::HttpServerOptions opts;
   opts.port = port;
   opts.num_workers = workers;
-  opts.num_handler_threads = handlers;
   opts.max_inflight = max_inflight;
   // The handler is built before the server it reports on, so the metrics
   // route's gauge source goes through a late-bound pointer cell.
@@ -159,24 +154,11 @@ int main(int argc, char** argv) {
     rafiki::net::HttpServer* server = *server_cell;
     return server ? server->stats() : rafiki::net::HttpServerStats{};
   };
-  rafiki::net::HttpServer::AsyncHandler handler;
-  if (sync_mode) {
-    // Same adapter the server applies internally; chosen here so the mode
-    // is visible in one place.
-    rafiki::net::HttpServer::Handler sync =
-        rafiki::api::MakeGatewayHttpHandler(&gateway, server_stats);
-    handler = [sync](const rafiki::net::HttpRequest& request,
-                     rafiki::net::HttpServer::ResponseWriter writer) {
-      writer.Complete(sync(request));
-    };
-  } else {
-    handler = rafiki::api::MakeGatewayAsyncHttpHandler(&gateway, server_stats);
-  }
-  rafiki::net::HttpServer server(handler, opts);
+  rafiki::net::HttpServer server(
+      rafiki::api::MakeGatewayAsyncHttpHandler(&gateway, server_stats), opts);
   *server_cell = &server;
   RAFIKI_CHECK_OK(server.Start());
-  std::printf("listening port=%u workers=%d mode=%s\n", server.port(),
-              workers, sync_mode ? "sync" : "async");
+  std::printf("listening port=%u workers=%d\n", server.port(), workers);
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# End-to-end smoke over real TCP: boot rafiki_serve (async continuation
-# path, the default), point rafiki_loadgen at the auto-deployed inference
-# job's metrics route, then storm the async query route with 256 closed-loop
-# connections against a 2-thread handler pool — failing on any transport
-# error or unexpected status — and finally SIGTERM the server, require a
-# clean drain (the "served requests=..." accounting line) and an observed
-# in-flight peak above the handler-thread count (proof the continuation
-# path, not the thread pool, carried the concurrency).
+# End-to-end smoke over real TCP: boot rafiki_serve, point rafiki_loadgen at
+# the auto-deployed inference job's metrics route, then storm the query
+# route with 256 closed-loop connections against 2 event loops — failing on
+# any transport error or unexpected status — and finally SIGTERM the
+# server, require a clean drain (the "served requests=..." accounting line)
+# and an observed in-flight peak above the event-loop count (proof the
+# continuation path, not the loops, carried the concurrency).
 #
 # Usage: scripts/smoke_serve.sh [build-dir] [port]
 set -euo pipefail
@@ -35,12 +34,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# handlers=2 on purpose: the async storm below must sustain far more
-# concurrent queries than handler threads. max-inflight is lifted so the
-# admission cap is not what bounds the storm; tau-ms is generous so most
-# queries beat the queue deadline on a loaded CI box (stragglers get an
-# orderly 504, which is not an error).
-"$serve" --port="$port" --workers=2 --handlers=2 --max-inflight=1024 \
+# workers=2 on purpose: the storm below must sustain far more concurrent
+# queries than event loops. max-inflight is lifted so the admission cap is
+# not what bounds the storm; tau-ms is generous so most queries beat the
+# queue deadline on a loaded CI box (stragglers get an orderly 504, which
+# is not an error).
+"$serve" --port="$port" --workers=2 --max-inflight=1024 \
   --tau-ms=500 >"$log" 2>&1 &
 server_pid=$!
 
@@ -68,8 +67,8 @@ echo "smoke: server pid=$server_pid port=$port infer_job=$infer_job"
 "$loadgen" --port="$port" --target="/jobs/$infer_job/metrics" \
   --duration=2 --rate=300 --period=2 --connections=2 --fail-on-error
 
-# High-concurrency async storm: 256 closed-loop connections POSTing real
-# queries through the continuation path, on the 2-thread handler pool.
+# High-concurrency storm: 256 closed-loop connections POSTing real queries
+# through the continuation path, on 2 event loops.
 "$loadgen" --port="$port" --method=POST \
   --target="/jobs/$infer_job/query" --body="0,1,0,0" \
   --closed --connections=256 --duration=2 --tau=1 --fail-on-error
@@ -99,11 +98,11 @@ fi
 grep '^served requests=' "$log"
 grep '^job metrics ' "$log" || true
 
-# The async path must have carried more concurrent requests than the two
-# handler threads ever could synchronously.
+# The continuation path must have carried more concurrent requests than the
+# two event loops ever could if each held its request until answered.
 peak="$(sed -n 's/.*inflight_peak=\([0-9]*\).*/\1/p' "$log" | head -1)"
 if [[ -z "$peak" || "$peak" -le 2 ]]; then
-  echo "async path not exercised: inflight_peak='$peak' (expected > 2)" >&2
+  echo "continuation path not exercised: inflight_peak='$peak' (expected > 2)" >&2
   cat "$log" >&2
   exit 1
 fi
@@ -117,7 +116,7 @@ echo "smoke: OK (inflight_peak=$peak)"
 # (nonzero learn_steps) — the live counterpart of the runtime's
 # exactly-once expiry regression test.
 rl_port=$((port + 1))
-"$serve" --port="$rl_port" --workers=2 --handlers=2 --max-inflight=1024 \
+"$serve" --port="$rl_port" --workers=2 --max-inflight=1024 \
   --tau-ms=100 --policy=rl >"$log" 2>&1 &
 server_pid=$!
 for _ in $(seq 1 100); do
@@ -182,7 +181,7 @@ echo "smoke: OK (rl learn_steps=$learned)"
 # reported replica peak must exceed 1 (proof the storm scaled the plane,
 # not just rode the single seed replica).
 replica_port=$((port + 2))
-"$serve" --port="$replica_port" --workers=2 --handlers=2 \
+"$serve" --port="$replica_port" --workers=2 \
   --max-inflight=1024 --tau-ms=500 --replicas=4 --autoscale=1 \
   >"$log" 2>&1 &
 server_pid=$!

@@ -241,6 +241,8 @@ void EventLoop::Run() {
     PollOnce(std::numeric_limits<double>::infinity());
   }
   stop_.store(false, std::memory_order_release);  // allow re-Run
+  // Release the thread: once it exits, a new thread may reuse its id.
+  owner_.store(std::thread::id(), std::memory_order_relaxed);
 }
 
 }  // namespace rafiki::net

@@ -108,7 +108,8 @@ class EventLoop {
 
   // --- running ---
 
-  /// Ticks until Stop(). Claims the calling thread as owner.
+  /// Ticks until Stop(). Claims the calling thread as owner until it
+  /// returns.
   void Run();
   /// One tick: sleep at most `max_wait_seconds` (capped by the next timer
   /// deadline; pass 0 to poll), then drain mailbox, dispatch fd events,

@@ -38,7 +38,7 @@ void FillOverload(HttpServer::ResponseSlot* slot, const char* why) {
 }
 
 /// The synchronous Handler is a thin adapter: the returned response
-/// completes the writer before the handler thread moves on.
+/// completes the writer inline, on the event loop that ran the handler.
 HttpServer::AsyncHandler WrapSyncHandler(HttpServer::Handler handler) {
   RAFIKI_CHECK(handler != nullptr);
   return [handler = std::move(handler)](const HttpRequest& request,
@@ -50,7 +50,7 @@ HttpServer::AsyncHandler WrapSyncHandler(HttpServer::Handler handler) {
 /// Allocator with per-thread free lists of single-object blocks, used to
 /// recycle the allocate_shared node behind every WriterState. A block is
 /// cached on whichever thread drops the last reference; the steady state
-/// (handler allocates, completes inline, releases on the same thread) hits
+/// (handler allocates, completes inline, releases on the same loop) hits
 /// the cache every time and never touches the heap.
 template <typename T>
 class FreeListAllocator {
@@ -117,12 +117,6 @@ void CopyResponseInto(const HttpResponse& from, HttpResponse* to) {
   to->headers = from.headers;
 }
 
-/// Identity of the worker whose event loop is running on this thread (the
-/// Worker object's address, type-erased because Worker is private). A
-/// completion posted from the owning worker's own thread goes straight to
-/// its local queue — no mailbox lock, no eventfd wakeup.
-thread_local const void* t_worker_identity = nullptr;
-
 }  // namespace
 
 void HttpServer::ResponseWriter::Complete(const HttpResponse& response) {
@@ -147,13 +141,12 @@ void HttpServer::WriterState::Complete(const HttpResponse& response) {
   // Build and serialize in the slot's arena before taking the core lock.
   // Completing with the slot's own response() skips the copy entirely.
   if (&response != &s->response) CopyResponseInto(response, &s->response);
-  SerializeResponseHeadersTo(s->response, keep_alive, &s->head);
+  SerializeResponseHeadersTo(s->response, s->keep_alive, &s->head);
   std::lock_guard<std::mutex> lock(core->mu);
   HttpServer* server = core->server;
   if (server == nullptr) {
-    // Server torn down: drop safely. The handler's hold (if still
-    // outstanding) disposes of the slot; otherwise we do.
-    if (s->holds.fetch_sub(1, std::memory_order_acq_rel) == 1) delete s;
+    // Stop() severed the core: no worker will apply this completion.
+    delete s;
     return;
   }
   // Completion is where the request stops being "in flight": the admission
@@ -164,23 +157,19 @@ void HttpServer::WriterState::Complete(const HttpResponse& response) {
   if (old & kHandlerReturned) {
     server->async_pending_.fetch_sub(1, std::memory_order_relaxed);
   }
-  Completion done;
-  done.conn_id = conn_id;
-  done.seq = seq;
-  done.slot = s;
-  done.keep_alive = keep_alive;
-  Worker& w = *server->workers_[static_cast<size_t>(worker)];
-  if (static_cast<const void*>(&w) == t_worker_identity) {
-    // Completed on the owning worker's own thread (inline handler): the
-    // worker drains this queue within the current tick.
-    w.inline_completions.push_back(std::move(done));
+  Worker& w = *server->workers_[static_cast<size_t>(s->worker)];
+  if (w.loop->IsInLoopThread()) {
+    // Completed on the owning worker's own thread: applied at the end of
+    // this tick, after the handler has returned.
+    w.inline_completions.push_back(std::move(s));
     return;
   }
-  {
-    std::lock_guard<std::mutex> wlock(w.mu);
-    w.completions.push_back(done);
-  }
-  server->Wake(w);
+  // Two pointers fit std::function's in-place buffer: no allocation. The
+  // core lock held here orders this post before Stop() severs the core.
+  w.loop->Post([server, s] {
+    server->ApplyCompletion(*server->workers_[static_cast<size_t>(s->worker)],
+                            s);
+  });
 }
 
 HttpServer::WriterState::~WriterState() {
@@ -197,7 +186,6 @@ HttpServer::HttpServer(AsyncHandler handler, HttpServerOptions options)
     : async_handler_(std::move(handler)), opts_(options) {
   RAFIKI_CHECK(async_handler_ != nullptr);
   opts_.num_workers = std::max(opts_.num_workers, 1);
-  opts_.num_handler_threads = std::max(opts_.num_handler_threads, 1);
   opts_.max_inflight = std::max<size_t>(opts_.max_inflight, 1);
   opts_.max_pipeline = std::max<size_t>(opts_.max_pipeline, 1);
 }
@@ -235,20 +223,11 @@ Status HttpServer::Start() {
   phase_ = Phase::kRunning;
   stop_accepting_ = false;
   inflight_ = 0;
-  handler_busy_ = 0;
   async_pending_ = 0;
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    stop_handlers_ = false;
-    work_.clear();
-  }
   running_ = true;
   for (int i = 0; i < opts_.num_workers; ++i) {
     workers_[static_cast<size_t>(i)]->thread =
         std::thread([this, i] { WorkerLoop(i); });
-  }
-  for (int i = 0; i < opts_.num_handler_threads; ++i) {
-    handler_threads_.emplace_back([this] { HandlerLoop(); });
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -263,11 +242,11 @@ void HttpServer::Stop() {
   listener_.Close();
 
   // 2. Drain: new requests are answered 503, workers run until every
-  //    connection has neither a pending response (sync in-handler or async
-  //    parked elsewhere) nor unwritten output. Async completions keep
-  //    flowing through the mailboxes during this phase.
+  //    connection has neither a pending response (parked elsewhere) nor
+  //    unwritten output. Completions keep arriving by Post during this
+  //    phase.
   phase_ = Phase::kDraining;
-  for (auto& w : workers_) Wake(*w);
+  for (auto& w : workers_) w->loop->Wake();
   double deadline = Now() + opts_.drain_timeout_seconds;
   for (;;) {
     bool all_exited = true;
@@ -275,7 +254,7 @@ void HttpServer::Stop() {
     if (all_exited) break;
     if (Now() >= deadline) {
       phase_ = Phase::kForceStop;
-      for (auto& w : workers_) Wake(*w);
+      for (auto& w : workers_) w->loop->Wake();
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -284,42 +263,20 @@ void HttpServer::Stop() {
     if (w->thread.joinable()) w->thread.join();
   }
 
-  // 3. Cut the completion core: ResponseWriters still alive (handlers on
-  //    the pool, continuations parked in other subsystems) now drop their
-  //    completions instead of posting to dead workers.
+  // 3. Cut the completion core: ResponseWriters still alive (continuations
+  //    parked in other subsystems) now delete their slot instead of posting
+  //    to a dead worker.
   {
     std::lock_guard<std::mutex> lock(core_->mu);
     core_->server = nullptr;
   }
 
-  // 4. Handler pool: queued work belongs to closed connections now; run it
-  //    down (completions are dropped by the dead core) and join.
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    stop_handlers_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : handler_threads_) {
-    if (t.joinable()) t.join();
-  }
-  handler_threads_.clear();
-
-  // 5. Free the arenas. Every producer is gone (workers and handlers
-  //    joined, core severed), so mailbox contents and pools are ours:
-  //    completion slots here hold the response-path reference and — with
-  //    the handlers joined — no handler hold remains; `returned` slots
-  //    already reached zero holds.
+  // 4. Nothing posts any more. Run what was posted to loops that had
+  //    already exited (new fds, completions for closed connections), close
+  //    what that opened, and free the arenas.
   for (auto& w : workers_) {
-    for (Completion& done : w->completions) {
-      if (done.slot->holds.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        delete done.slot;
-      }
-    }
-    w->completions.clear();
-    for (ResponseSlot* s : w->returned) delete s;
-    w->returned.clear();
-    for (int fd : w->pending_fds) ::close(fd);
-    w->pending_fds.clear();
+    w->loop->PollOnce(0.0);
+    CloseAllConnections(*w);
     for (ResponseSlot* s : w->slot_pool) delete s;
     w->slot_pool.clear();
   }
@@ -339,13 +296,8 @@ HttpServerStats HttpServer::stats() const {
   s.timed_out_connections = timed_out_.load();
   s.inflight = inflight_.load();
   s.inflight_peak = inflight_peak_.load();
-  s.handler_busy = handler_busy_.load();
   s.async_pending = static_cast<size_t>(std::max<int64_t>(
       async_pending_.load(std::memory_order_relaxed), 0));
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    s.handler_queue = work_.size();
-  }
   return s;
 }
 
@@ -366,29 +318,12 @@ void HttpServer::AcceptLoop() {
       accepted_.fetch_add(1, std::memory_order_relaxed);
       Worker& w = *workers_[next_worker];
       next_worker = (next_worker + 1) % workers_.size();
-      {
-        std::lock_guard<std::mutex> lock(w.mu);
-        w.pending_fds.push_back(fd);
-      }
-      Wake(w);
+      w.loop->Post([this, &w, fd] { AddConnection(w, fd); });
     }
   }
 }
 
-void HttpServer::Wake(Worker& w) { w.loop->Wake(); }
-
 HttpServer::ResponseSlot* HttpServer::AcquireSlot(Worker& w) {
-  if (w.slot_pool.empty()) {
-    // A slot whose last hold dropped on a handler thread may still be
-    // sitting in the `returned` mailbox (the worker only drains it at tick
-    // boundaries); reclaim those before minting a cold arena.
-    {
-      std::lock_guard<std::mutex> lock(w.mu);
-      w.returned_scratch.swap(w.returned);
-    }
-    for (ResponseSlot* s : w.returned_scratch) RecycleSlot(w, s);
-    w.returned_scratch.clear();
-  }
   if (!w.slot_pool.empty()) {
     ResponseSlot* s = w.slot_pool.back();
     w.slot_pool.pop_back();
@@ -414,58 +349,17 @@ void HttpServer::RecycleSlot(Worker& w, ResponseSlot* slot) {
   }
 }
 
-void HttpServer::ReleaseSlotHold(Worker& w, ResponseSlot* slot) {
-  if (slot->holds.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    RecycleSlot(w, slot);
-  }
-  // Otherwise the handler is still reading the request; its release will
-  // route the slot back through the worker's `returned` mailbox.
-}
-
-void HttpServer::FlushWorkBatch(Worker& w) {
-  if (w.work_batch.empty()) return;
-  size_t n = w.work_batch.size();
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    for (Work& work : w.work_batch) work_.push_back(std::move(work));
-  }
-  if (n == 1) {
-    work_cv_.notify_one();
-  } else {
-    work_cv_.notify_all();
-  }
-  w.work_batch.clear();
-}
-
-void HttpServer::DrainMailbox(Worker& w) {
-  {
-    std::lock_guard<std::mutex> lock(w.mu);
-    w.fds_scratch.swap(w.pending_fds);
-    w.completions_scratch.swap(w.completions);
-    w.returned_scratch.swap(w.returned);
-  }
-  for (int fd : w.fds_scratch) AddConnection(w, fd);
-  w.fds_scratch.clear();
-  // Slots whose last hold was dropped on a handler thread.
-  for (ResponseSlot* s : w.returned_scratch) RecycleSlot(w, s);
-  w.returned_scratch.clear();
-  for (Completion& done : w.completions_scratch) ApplyCompletion(w, done);
-  w.completions_scratch.clear();
-}
-
-void HttpServer::ApplyCompletion(Worker& w, const Completion& done) {
-  auto it = w.conns.find(done.conn_id);
+void HttpServer::ApplyCompletion(Worker& w, ResponseSlot* slot) {
+  const uint64_t conn_id = slot->conn_id;
+  auto it = w.conns.find(conn_id);
   if (it == w.conns.end()) {
     // Connection died mid-request; drop the response.
-    ReleaseSlotHold(w, done.slot);
+    RecycleSlot(w, slot);
     return;
   }
   Connection& c = *it->second;
-  const uint64_t conn_id = done.conn_id;
   c.last_activity = Now();
-  WindowEntry& entry = c.window[done.seq & c.window_mask];
-  entry.slot = done.slot;
-  entry.keep_alive = done.keep_alive;
+  c.window[slot->seq & c.window_mask] = slot;
   PumpResponses(w, c);
   // Defensive re-lookup: nothing above should drop the connection today
   // (the flush that could is deferred to end of tick), but TryParse below
@@ -488,12 +382,12 @@ void HttpServer::ApplyCompletion(Worker& w, const Completion& done) {
 }
 
 void HttpServer::DrainInlineCompletions(Worker& w) {
-  // ApplyCompletion may parse further pipelined requests, whose inline
-  // handlers append here — keep going until the queue is genuinely dry.
+  // ApplyCompletion may parse further pipelined requests, whose handlers
+  // append here — keep going until the queue is genuinely dry.
   while (!w.inline_completions.empty()) {
-    Completion done = std::move(w.inline_completions.front());
+    ResponseSlot* slot = w.inline_completions.front();
     w.inline_completions.pop_front();
-    ApplyCompletion(w, done);
+    ApplyCompletion(w, slot);
   }
 }
 
@@ -550,22 +444,26 @@ void HttpServer::OnIdleTimer(Worker& w, uint64_t conn_id) {
 }
 
 void HttpServer::CloseConnection(Worker& w, Connection& c) {
-  // Release every response still owned by this connection. Requests whose
-  // handler/writer is still out keep their slot alive via those holds.
-  for (WindowEntry& entry : c.window) {
-    if (entry.slot != nullptr) {
-      ReleaseSlotHold(w, entry.slot);
-      entry.slot = nullptr;
+  // Recycle every response this connection owns. A request whose writer is
+  // still out keeps its slot; the completion recycles it on arrival.
+  for (ResponseSlot*& slot : c.window) {
+    if (slot != nullptr) {
+      RecycleSlot(w, slot);
+      slot = nullptr;
     }
   }
   while (!c.outq.empty()) {
-    ReleaseSlotHold(w, c.outq.front().slot);
+    RecycleSlot(w, c.outq.front().slot);
     c.outq.pop_front();
   }
   w.loop->CancelTimer(c.idle_timer);
   (void)w.loop->RemoveFd(c.fd);
   ::close(c.fd);
   w.conns.erase(c.id);  // destroys c
+}
+
+void HttpServer::CloseAllConnections(Worker& w) {
+  while (!w.conns.empty()) CloseConnection(w, *w.conns.begin()->second);
 }
 
 void HttpServer::UpdateInterest(Worker& w, Connection& c) {
@@ -675,87 +573,64 @@ void HttpServer::TryParse(Worker& w, Connection& c) {
       continue;  // connection stays usable; try the next pipelined request
     }
     // Track the concurrency high-watermark (the async path's headline
-    // number: it can far exceed num_handler_threads).
+    // number: it can far exceed the event-loop count).
     uint64_t cur = static_cast<uint64_t>(inflight_.load());
     uint64_t peak = inflight_peak_.load(std::memory_order_relaxed);
     while (cur > peak && !inflight_peak_.compare_exchange_weak(
                              peak, cur, std::memory_order_relaxed)) {
     }
-    // Two holds: the handler reads `request` until it returns; the
-    // response path carries the slot from WriterState back to the flush.
-    slot->holds.store(2, std::memory_order_relaxed);
-    Work work;
-    work.worker = w.index;
-    work.conn_id = c.id;
-    work.seq = seq;
-    work.keep_alive = keep_alive;
-    work.slot = slot;
-    if (opts_.inline_handlers) {
-      // Run-to-completion: invoke the handler right here. Its completion
-      // (if inline) lands in w.inline_completions and is applied at the
-      // tick's drain point — never mid-parse, so `c` stays valid.
-      RunHandlerInline(w, work);
-    } else {
-      w.work_batch.push_back(work);
-    }
-    // Keep parsing: with async completion, pipelined requests proceed
-    // concurrently (bounded by max_pipeline) and responses are re-ordered
-    // to request order on completion.
+    slot->worker = w.index;
+    slot->conn_id = c.id;
+    slot->seq = seq;
+    slot->keep_alive = keep_alive;
+    // Run the handler right here. Its completion (if inline) lands in
+    // w.inline_completions and is applied at the end of the tick — never
+    // mid-parse, so `c` stays valid.
+    RunHandler(slot);
+    // Keep parsing: pipelined requests proceed concurrently (bounded by
+    // max_pipeline) and responses are re-ordered to request order on
+    // completion.
   }
 }
 
-void HttpServer::RunHandlerInline(Worker& w, const Work& work) {
-  {
-    auto state = std::allocate_shared<WriterState>(
-        FreeListAllocator<WriterState>());
-    state->core = core_;
-    state->slot = work.slot;
-    state->worker = work.worker;
-    state->conn_id = work.conn_id;
-    state->seq = work.seq;
-    state->keep_alive = work.keep_alive;
-    handler_busy_.fetch_add(1, std::memory_order_relaxed);
-    async_handler_(work.slot->request, ResponseWriter(state));
-    handler_busy_.fetch_sub(1, std::memory_order_relaxed);
-    int old = state->flags.fetch_or(WriterState::kHandlerReturned,
-                                    std::memory_order_acq_rel);
-    if (!(old & WriterState::kCompleted)) {
-      async_pending_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // `state` drops here; an uncompleted, unparked writer answers 500 via
-    // ~WriterState exactly as on the pool path.
+void HttpServer::RunHandler(ResponseSlot* slot) {
+  auto state =
+      std::allocate_shared<WriterState>(FreeListAllocator<WriterState>());
+  state->core = core_;
+  state->slot = slot;
+  async_handler_(slot->request, ResponseWriter(state));
+  // Handler returned without completing: the continuation is parked
+  // elsewhere (async_pending until its owner completes the writer). The
+  // two flag bits keep the gauge exact when completion races the return.
+  int old = state->flags.fetch_or(WriterState::kHandlerReturned,
+                                  std::memory_order_acq_rel);
+  if (!(old & WriterState::kCompleted)) {
+    async_pending_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Handler hold: released on the worker thread, so the last release can
-  // recycle directly instead of bouncing through the `returned` mailbox.
-  if (work.slot->holds.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    RecycleSlot(w, work.slot);
-  }
+  // `state` drops here: if the handler kept no copy and never completed,
+  // ~WriterState answers 500 so the connection is not wedged.
 }
 
 void HttpServer::QueueSlotResponse(Worker& w, Connection& c, uint64_t seq,
                                    ResponseSlot* slot, bool keep_alive) {
   responses_.fetch_add(1, std::memory_order_relaxed);
+  slot->seq = seq;
+  slot->keep_alive = keep_alive;
   SerializeResponseHeadersTo(slot->response, keep_alive, &slot->head);
-  slot->holds.store(1, std::memory_order_relaxed);  // response path only
-  WindowEntry& entry = c.window[seq & c.window_mask];
-  entry.slot = slot;
-  entry.keep_alive = keep_alive;
+  c.window[seq & c.window_mask] = slot;
   PumpResponses(w, c);
 }
 
 void HttpServer::PumpResponses(Worker& w, Connection& c) {
   while (!c.close_after_write) {
-    WindowEntry& entry = c.window[c.next_send & c.window_mask];
-    if (entry.slot == nullptr) break;  // next-in-order not completed yet
-    OutItem item;
-    item.slot = entry.slot;
-    item.off = 0;
-    item.close_after = !entry.keep_alive;
-    entry.slot = nullptr;
-    c.outq.push_back(std::move(item));
+    ResponseSlot*& next = c.window[c.next_send & c.window_mask];
+    if (next == nullptr) break;  // next-in-order not completed yet
+    ResponseSlot* slot = next;
+    next = nullptr;
+    c.outq.push_back(OutItem{slot, 0});
     ++c.next_send;
     // Responses queued behind a close die with the connection.
-    if (item.close_after) c.close_after_write = true;
+    if (!slot->keep_alive) c.close_after_write = true;
   }
   // Defer the socket write to the end of the loop tick: every response
   // completed this tick rides the same gather flush (one sendmsg per
@@ -821,8 +696,8 @@ void HttpServer::FlushWrite(Worker& w, Connection& c) {
           break;
         }
         left -= remain;
-        bool close_now = front.close_after;
-        ReleaseSlotHold(w, front.slot);
+        bool close_now = !front.slot->keep_alive;
+        RecycleSlot(w, front.slot);
         c.outq.pop_front();
         if (close_now) {
           CloseConnection(w, c);
@@ -850,22 +725,17 @@ void HttpServer::FlushWrite(Worker& w, Connection& c) {
 
 void HttpServer::WorkerLoop(int index) {
   Worker& w = *workers_[static_cast<size_t>(index)];
-  t_worker_identity = &w;
   EventLoop& loop = *w.loop;
-  // Mailbox drain (new fds, off-thread completions, returned slots) runs
-  // at the top of every tick, before fd dispatch — the same ordering the
-  // hand-rolled loop had. Connection events arrive through the per-fd
-  // callbacks registered in AddConnection; idle deadlines through wheel
-  // timers. No safety timeout remains: every wakeup is an event, a posted
-  // completion, or an exact timer deadline.
-  loop.SetTickBeginHook([this, &w] { DrainMailbox(w); });
+  // New fds and off-thread completions arrive as posted tasks, which run
+  // at the top of every tick, before fd dispatch. Connection events arrive
+  // through the per-fd callbacks registered in AddConnection; idle
+  // deadlines through wheel timers. No safety timeout remains: every
+  // wakeup is an event, a posted task, or an exact timer deadline.
   loop.SetTickEndHook([this, &w, &loop] {
-    // Inline handlers completed during this tick: file their responses
-    // before the tick's single gather flush below.
+    // Handlers that completed inline during this tick: file their
+    // responses before the tick's single gather flush below.
     DrainInlineCompletions(w);
     FlushPendingWrites(w);
-    // Hand the whole tick's admitted requests to the pool at once.
-    FlushWorkBatch(w);
     Phase phase = phase_.load();
     if (phase == Phase::kRunning) return;
     if (phase == Phase::kForceStop) {
@@ -882,70 +752,10 @@ void HttpServer::WorkerLoop(int index) {
     if (!busy) loop.Stop();
   });
   loop.Run();
-  std::vector<uint64_t> ids;
-  ids.reserve(w.conns.size());
-  for (auto& [id, conn] : w.conns) ids.push_back(id);
-  for (uint64_t id : ids) {
-    auto it = w.conns.find(id);
-    if (it != w.conns.end()) CloseConnection(w, *it->second);
-  }
-  // Inline completions that never got applied (force stop mid-tick): their
-  // connections are gone; just release the response-path holds.
-  while (!w.inline_completions.empty()) {
-    ReleaseSlotHold(w, w.inline_completions.front().slot);
-    w.inline_completions.pop_front();
-  }
-  t_worker_identity = nullptr;
+  // The tick-end hook drained every inline completion before it stopped
+  // the loop.
+  CloseAllConnections(w);
   w.exited.store(true);
-}
-
-void HttpServer::HandlerLoop() {
-  for (;;) {
-    Work work;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [&] { return stop_handlers_ || !work_.empty(); });
-      if (work_.empty()) return;  // stop_handlers_ && drained
-      work = work_.front();
-      work_.pop_front();
-    }
-    {
-      auto state = std::allocate_shared<WriterState>(
-          FreeListAllocator<WriterState>());
-      state->core = core_;
-      state->slot = work.slot;
-      state->worker = work.worker;
-      state->conn_id = work.conn_id;
-      state->seq = work.seq;
-      state->keep_alive = work.keep_alive;
-      handler_busy_.fetch_add(1, std::memory_order_relaxed);
-      async_handler_(work.slot->request, ResponseWriter(state));
-      handler_busy_.fetch_sub(1, std::memory_order_relaxed);
-      // Handler returned without completing: the continuation is parked
-      // elsewhere (async_pending until its owner completes the writer).
-      // The two flag bits keep the gauge exact when completion races the
-      // return.
-      int old = state->flags.fetch_or(WriterState::kHandlerReturned,
-                                      std::memory_order_acq_rel);
-      if (!(old & WriterState::kCompleted)) {
-        async_pending_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // `state` drops here: if the handler kept no copy and never
-      // completed, ~WriterState answers 500 so the connection is not
-      // wedged.
-    }
-    // The request is no longer being read: drop the handler's hold. If the
-    // response already flushed (or was dropped with the connection), this
-    // is the last hold and the slot goes back via the worker's mailbox.
-    if (work.slot->holds.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      Worker& w = *workers_[static_cast<size_t>(work.worker)];
-      {
-        std::lock_guard<std::mutex> lock(w.mu);
-        w.returned.push_back(work.slot);
-      }
-      Wake(w);
-    }
-  }
 }
 
 }  // namespace rafiki::net

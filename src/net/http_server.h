@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,17 +25,13 @@ struct HttpServerOptions {
   /// with port()).
   uint16_t port = 0;
   /// Event-loop threads; each owns an epoll instance and a share of the
-  /// connections.
+  /// connections, and runs the handler for every request they carry.
   int num_workers = 2;
-  /// Threads invoking the request handler. With the async handler API a
-  /// handler thread is only occupied while the handler *runs* (it may hand
-  /// its ResponseWriter to another subsystem and return immediately), so
-  /// in-flight requests are bounded by `max_inflight`, not by this.
+  /// Read by nothing: handlers run on the event loops.
   int num_handler_threads = 4;
   /// Requests admitted (response not yet completed) before new ones are
-  /// answered 503 directly from the event loop. This is the true
-  /// concurrency bound of the async path: an admitted request holds its
-  /// slot until its ResponseWriter completes, not until the handler
+  /// answered 503 directly from the event loop. An admitted request holds
+  /// its slot until its ResponseWriter completes, not until the handler
   /// returns.
   size_t max_inflight = 256;
   /// Pipelined requests admitted per connection before parsing pauses
@@ -55,14 +50,7 @@ struct HttpServerOptions {
   /// When > 0, shrink each accepted socket's SO_SNDBUF (tests use this to
   /// force partial writes through the EPOLLOUT path).
   int send_buffer_bytes = 0;
-  /// Run-to-completion mode: handlers are invoked directly on the owning
-  /// event-loop thread instead of the handler pool, and completions that
-  /// happen inline skip the mailbox + eventfd wakeup entirely. This
-  /// removes two thread handoffs per request — the dominant per-request
-  /// cost on small machines — but is only safe when every handler is
-  /// non-blocking: it must either complete its writer immediately or park
-  /// it elsewhere and return. A handler that blocks (e.g. synchronous
-  /// inference) stalls the whole event loop.
+  /// Read by nothing: handlers always run on the event loops.
   bool inline_handlers = false;
 };
 
@@ -81,14 +69,9 @@ struct HttpServerStats {
   uint64_t parse_errors = 0;      // 4xx/5xx straight from the parser
   uint64_t timed_out_connections = 0;
 
-  /// Gauges (sampled at stats() time) separating the stages of the async
-  /// path, so saturation of each is observable independently:
-  ///   admission (inflight) -> handler queue -> handler execution
-  ///   (handler_busy) -> async completion wait (async_pending).
+  /// Gauges sampled at stats() time.
   size_t inflight = 0;        // admitted, response not yet completed
   uint64_t inflight_peak = 0; // high-watermark of `inflight` since Start()
-  size_t handler_queue = 0;   // parsed requests waiting for a handler thread
-  size_t handler_busy = 0;    // threads currently inside the handler
   /// Requests whose handler has returned but whose ResponseWriter has not
   /// completed yet — the continuation is parked in another subsystem (e.g.
   /// an inference batch queue).
@@ -104,10 +87,10 @@ struct HttpServerStats {
 ///     per-connection scatter-gather output queue flushed via EPOLLOUT on
 ///     partial writes;
 ///   * complete requests are admitted against `max_inflight` (overflow
-///     answered 503 inline) and dispatched to a handler pool; the handler
-///     receives a ResponseWriter it may complete later from any thread —
-///     the response is posted back to the owning worker through a mailbox
-///     + eventfd;
+///     answered 503 inline) and handed to the handler on the worker's own
+///     loop; the handler receives a ResponseWriter it may complete inline
+///     or later from any thread — an off-loop completion reaches the
+///     owning worker through EventLoop::Post;
 ///   * keep-alive and pipelining: up to `max_pipeline` requests per
 ///     connection may be in flight at once; completions arriving out of
 ///     order are buffered and written strictly in request order;
@@ -121,13 +104,15 @@ struct HttpServerStats {
 /// written with sendmsg scatter-gather (header iovec + body iovec), so a
 /// steady-state keep-alive round trip performs no heap allocations.
 ///
-/// Handlers run concurrently on the pool; they must be thread-safe.
+/// Handlers run on the event-loop threads, so several may run at once; they
+/// must be thread-safe and must not block.
 class HttpServer {
  public:
   struct ResponseSlot;
 
-  /// Synchronous handler: the returned response completes the request.
-  /// Runs as a thin adapter over the async API.
+  /// Synchronous handler: the returned response completes the request
+  /// inline. A thin adapter over the async API; a handler that blocks
+  /// stalls its event loop.
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
   struct WriterState;
@@ -176,7 +161,7 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and starts the acceptor/worker/handler threads.
+  /// Binds, listens, and starts the acceptor and worker threads.
   Status Start();
 
   /// Graceful drain-then-stop; idempotent. Safe to call from any thread
@@ -195,44 +180,33 @@ class HttpServer {
   /// the socket straight from it; afterwards it returns to a per-worker
   /// free list with all string capacities intact.
   ///
-  /// `holds` counts outstanding users: the handler (reading `request`
-  /// until it returns) and the response path (WriterState -> completion
-  /// mailbox -> in-order window -> output queue -> flushed). Whoever
-  /// releases the last hold recycles (or deletes) the slot; this is what
-  /// makes it safe for a completion to race the handler's return.
+  /// A slot has one owner at a time: its worker while the handler runs,
+  /// then the WriterState, then the completion on its way back to the
+  /// worker, the in-order window, the output queue, and the free list. The
+  /// handler returns before its worker can apply the completion (inline
+  /// completions are applied at the end of the tick, posted ones at a later
+  /// tick), so the request stays readable for the handler's whole run.
   struct ResponseSlot {
     HttpRequest request;
     HttpResponse response;
     std::string head;  // serialized status line + headers (wire form)
-    std::atomic<int> holds{0};
+    /// Routing of the response back to its connection: the owning worker,
+    /// the connection, and the request's place among its pipelined
+    /// requests.
+    int worker = 0;
+    uint64_t conn_id = 0;
+    uint64_t seq = 0;
+    bool keep_alive = true;
   };
 
  private:
   enum class Phase { kRunning, kDraining, kForceStop };
-
-  /// One response ready to be written; `seq` orders it among its
-  /// connection's pipelined requests. The slot travels by raw pointer —
-  /// ownership is tracked by ResponseSlot::holds.
-  struct Completion {
-    uint64_t conn_id = 0;
-    uint64_t seq = 0;
-    ResponseSlot* slot = nullptr;
-    bool keep_alive = true;
-  };
-
-  /// A response waiting its turn in the per-connection in-order window,
-  /// indexed by seq & (window size - 1).
-  struct WindowEntry {
-    ResponseSlot* slot = nullptr;
-    bool keep_alive = true;
-  };
 
   /// A response being written: `off` is the byte offset already sent of
   /// head + body viewed as one contiguous stream.
   struct OutItem {
     ResponseSlot* slot = nullptr;
     size_t off = 0;
-    bool close_after = false;
   };
 
   struct Connection {
@@ -246,8 +220,9 @@ class HttpServer {
     uint64_t next_seq = 0;   // sequence assigned to the next parsed request
     uint64_t next_send = 0;  // sequence of the next response to emit
     /// Responses completed out of request order, direct-indexed by
-    /// sequence (valid because parsing pauses at max_pipeline pending).
-    std::vector<WindowEntry> window;
+    /// seq & window_mask (valid because parsing pauses at max_pipeline
+    /// pending).
+    std::vector<ResponseSlot*> window;
     uint64_t window_mask = 0;
     /// In-order responses being flushed, front partially written first.
     RingDeque<OutItem> outq;
@@ -271,51 +246,32 @@ class HttpServer {
     TimerId idle_timer = 0;
 
     Connection(HttpParserLimits limits, size_t window_size)
-        : parser(limits), window(window_size), window_mask(window_size - 1) {}
+        : parser(limits),
+          window(window_size, nullptr),
+          window_mask(window_size - 1) {}
     /// Requests parsed whose responses have not been emitted yet.
     size_t pending() const { return next_seq - next_send; }
     bool busy() const { return pending() > 0 || !outq.empty(); }
   };
 
-  struct Work {
-    int worker = 0;
-    uint64_t conn_id = 0;
-    uint64_t seq = 0;
-    bool keep_alive = true;
-    ResponseSlot* slot = nullptr;
-  };
-
   struct Worker {
     int index = 0;
     /// The worker's reactor: fd watchers for its connections, the timer
-    /// wheel carrying their idle deadlines, and the wake eventfd behind
-    /// Wake(). Mailbox drain runs as the loop's tick-begin hook; the
-    /// gather flush, work-batch handoff, and drain-phase check run as the
+    /// wheel carrying their idle deadlines, and the Post() mailbox through
+    /// which the acceptor hands over new fds and other threads hand back
+    /// completions. The gather flush and the drain-phase check run as the
     /// tick-end hook.
     std::unique_ptr<EventLoop> loop;
     std::thread thread;
-    std::mutex mu;  // guards the three mailboxes below
-    std::vector<int> pending_fds;
-    std::vector<Completion> completions;
-    /// Slots whose last hold was released off-worker; recycled here.
-    std::vector<ResponseSlot*> returned;
     /// Everything below is owned exclusively by the worker thread.
     std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
     /// Free list of recycled slots (capacity-warm arenas).
     std::vector<ResponseSlot*> slot_pool;
-    /// Admitted work gathered during one event-loop tick, pushed to the
-    /// handler queue with a single lock + notify.
-    std::vector<Work> work_batch;
-    // Drain scratch: swapped with the mailboxes so both sides keep their
-    // vector capacity (no per-tick allocation).
-    std::vector<int> fds_scratch;
-    std::vector<Completion> completions_scratch;
-    std::vector<ResponseSlot*> returned_scratch;
-    /// Completions produced on this worker's own thread (inline_handlers
-    /// fast path); never locked — only the owning thread touches it.
-    RingDeque<Completion> inline_completions;
+    /// Responses completed on this worker's own thread (a handler that
+    /// completed inline), applied at the end of the tick.
+    RingDeque<ResponseSlot*> inline_completions;
     /// Connections (by id) with staged responses awaiting the end-of-tick
-    /// gather flush; guarded by the owning thread only.
+    /// gather flush.
     std::vector<uint64_t> flush_queue;
     std::atomic<bool> exited{false};
   };
@@ -331,18 +287,14 @@ class HttpServer {
 
   /// One-shot completion state behind ResponseWriter. `flags` bit 0 is
   /// "completed", bit 1 is "handler returned" (used to keep the
-  /// async_pending gauge exact under the completion/return race). Holds
-  /// the response-path reference on `slot` until Complete() posts it.
+  /// async_pending gauge exact under the completion/return race). Owns
+  /// `slot` until Complete() hands it back to the worker.
   struct WriterState {
     static constexpr int kCompleted = 1;
     static constexpr int kHandlerReturned = 2;
 
     std::shared_ptr<AsyncCore> core;
     ResponseSlot* slot = nullptr;
-    int worker = 0;
-    uint64_t conn_id = 0;
-    uint64_t seq = 0;
-    bool keep_alive = true;
     std::atomic<int> flags{0};
 
     void Complete(const HttpResponse& response);
@@ -352,22 +304,20 @@ class HttpServer {
  private:
   void AcceptLoop();
   void WorkerLoop(int index);
-  void HandlerLoop();
 
-  void Wake(Worker& w);
-  void DrainMailbox(Worker& w);
   /// Applies one completed response: files it in its connection's in-order
   /// window, pumps output, and resumes reading/parsing. May close the
   /// connection.
-  void ApplyCompletion(Worker& w, const Completion& done);
-  /// Applies completions produced on this worker's own thread (the
-  /// inline_handlers fast path) until none remain.
+  void ApplyCompletion(Worker& w, ResponseSlot* slot);
+  /// Applies completions produced on this worker's own thread until none
+  /// remain.
   void DrainInlineCompletions(Worker& w);
-  /// Runs the handler for one admitted request on the calling (worker)
-  /// thread; inline completions land in w.inline_completions.
-  void RunHandlerInline(Worker& w, const Work& work);
+  /// Runs the handler for one admitted request on the worker's thread;
+  /// inline completions land in w.inline_completions.
+  void RunHandler(ResponseSlot* slot);
   void AddConnection(Worker& w, int fd);
   void CloseConnection(Worker& w, Connection& c);
+  void CloseAllConnections(Worker& w);
   /// Pushes the connection's current read/write interest to the reactor.
   void UpdateInterest(Worker& w, Connection& c);
   /// Reactor callback for one connection's readiness events.
@@ -381,14 +331,10 @@ class HttpServer {
   ResponseSlot* AcquireSlot(Worker& w);
   /// Returns a slot to the worker's free list with capacities intact.
   void RecycleSlot(Worker& w, ResponseSlot* slot);
-  /// Drops one hold; recycles on the last release (worker thread only).
-  void ReleaseSlotHold(Worker& w, ResponseSlot* slot);
-  /// Flushes the tick's admitted work to the handler queue in one lock.
-  void FlushWorkBatch(Worker& w);
 
   /// Queues the response already built in `slot` as the completion of
   /// sequence `seq` (event-loop responses: parse errors, 503s) and pumps
-  /// in-order output. Takes over the slot's single hold.
+  /// in-order output.
   void QueueSlotResponse(Worker& w, Connection& c, uint64_t seq,
                          ResponseSlot* slot, bool keep_alive);
   /// Moves consecutive ready completions into the output queue and
@@ -408,18 +354,11 @@ class HttpServer {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread acceptor_;
-  std::vector<std::thread> handler_threads_;
-
-  mutable std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  RingDeque<Work> work_;
-  bool stop_handlers_ = false;  // guarded by work_mu_
 
   std::atomic<Phase> phase_{Phase::kRunning};
   std::atomic<bool> stop_accepting_{false};
   std::atomic<size_t> inflight_{0};
   std::atomic<uint64_t> inflight_peak_{0};
-  std::atomic<size_t> handler_busy_{0};
   std::atomic<int64_t> async_pending_{0};
   std::atomic<uint64_t> next_conn_id_{1};
 

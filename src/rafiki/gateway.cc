@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <optional>
 
 #include "common/string_util.h"
 #include "net/http.h"
@@ -89,6 +90,16 @@ std::string GatewayResponse::ToString() const {
 
 Gateway::Gateway(Rafiki* rafiki) : rafiki_(rafiki) {
   RAFIKI_CHECK(rafiki != nullptr);
+  control_thread_ = std::thread([this] {
+    while (std::optional<std::function<void()>> task = control_.Pop()) {
+      (*task)();
+    }
+  });
+}
+
+Gateway::~Gateway() {
+  control_.Close();  // Pop() still hands out what was queued before this
+  control_thread_.join();
 }
 
 Result<GatewayRequest> Gateway::Parse(const std::string& raw_request) {
@@ -204,28 +215,31 @@ void Gateway::DispatchAsync(const GatewayRequest& request,
                             AsyncCompletion done) {
   RAFIKI_CHECK(done != nullptr);
   const std::string& path = request.path;
-  if (request.method == "POST") {
-    if (path == "/query") {
-      auto it = request.params.find("job");
-      if (it == request.params.end()) {
-        done(Error(400, "missing job parameter"));
-        return;
-      }
-      QueryAsync(it->second, request, std::move(done));
-      return;
-    }
-    if (StartsWith(path, "/jobs/") && EndsWith(path, "/query")) {
-      std::string job_id = QueryRouteJobId(path);
-      if (job_id.empty()) {
-        done(Error(400, "missing job id in path"));
-        return;
-      }
-      QueryAsync(job_id, request, std::move(done));
-      return;
-    }
+  if (request.method != "POST") {
+    done(Dispatch(request));
+    return;
   }
-  // Control plane (and non-query errors): answer inline.
-  done(Dispatch(request));
+  if (path == "/query") {
+    auto it = request.params.find("job");
+    if (it == request.params.end()) {
+      done(Error(400, "missing job parameter"));
+      return;
+    }
+    QueryAsync(it->second, request, std::move(done));
+    return;
+  }
+  if (StartsWith(path, "/jobs/") && EndsWith(path, "/query")) {
+    std::string job_id = QueryRouteJobId(path);
+    if (job_id.empty()) {
+      done(Error(400, "missing job id in path"));
+      return;
+    }
+    QueryAsync(job_id, request, std::move(done));
+    return;
+  }
+  control_.Push([this, request, done = std::move(done)] {
+    done(Dispatch(request));
+  });
 }
 
 GatewayResponse Gateway::Train(const GatewayRequest& request) {

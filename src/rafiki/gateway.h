@@ -4,7 +4,9 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 
+#include "common/blocking_queue.h"
 #include "rafiki/rafiki.h"
 
 namespace rafiki::api {
@@ -30,8 +32,8 @@ struct GatewayResponse {
 /// Rafiki through a small request/response protocol rather than linking
 /// the library. This gateway implements that surface as a deterministic
 /// text protocol on top of the facade; the real socket front-end
-/// (net::HttpServer via MakeGatewayHttpHandler) adapts HTTP requests onto
-/// `Dispatch()` 1:1.
+/// (net::HttpServer via MakeGatewayAsyncHttpHandler) adapts HTTP requests
+/// onto `DispatchAsync()` 1:1.
 ///
 /// Endpoints:
 ///   POST /train    dataset=<name>&trials=N&workers=N&collaborative=0|1&
@@ -63,29 +65,40 @@ class Gateway {
   static constexpr size_t kMaxRequestLine = 8 * 1024;
   static constexpr size_t kMaxBodyBytes = 1 << 20;
 
+  /// Starts the control thread. `rafiki` must outlive the gateway.
   explicit Gateway(Rafiki* rafiki);
+  /// Runs the control requests already queued, then joins the control
+  /// thread. Stop the server in front first.
+  ~Gateway();
+
+  Gateway(const Gateway&) = delete;
+  Gateway& operator=(const Gateway&) = delete;
 
   /// Parses and serves one request string; never throws, all errors map to
   /// 4xx/5xx responses.
   GatewayResponse Handle(const std::string& raw_request);
 
-  /// Routes an already-parsed request. Thread-safe (the gateway is
-  /// stateless; the facade synchronizes internally) — the HTTP front-end
-  /// calls this concurrently from its handler pool.
+  /// Routes an already-parsed request and blocks until it is answered.
+  /// Thread-safe: the facade synchronizes internally.
   GatewayResponse Dispatch(const GatewayRequest& request);
 
-  /// Continuation invoked exactly once with the response. Synchronous
-  /// routes (and early errors) run it on the calling thread before
-  /// DispatchAsync returns; async query completions run it later on the
-  /// inference job's dispatcher thread — it must be cheap and thread-safe.
+  /// Continuation invoked exactly once with the response. GET routes (and
+  /// early query errors) run it on the calling thread before DispatchAsync
+  /// returns; query completions run it later on the inference job's
+  /// dispatcher thread, and control POSTs on the gateway's control thread.
+  /// It must be cheap and thread-safe.
   using AsyncCompletion = std::function<void(GatewayResponse)>;
 
-  /// Splits the data plane from the control plane: query routes
-  /// (POST /query, POST /jobs/<id>/query) go through the facade's
-  /// continuation chain so the calling thread never blocks while the
-  /// request waits in a batch queue; every other route (train / deploy /
-  /// status / metrics / undeploy) is control plane and is answered
-  /// synchronously via Dispatch before DispatchAsync returns.
+  /// Never blocks the caller, which behind HTTP is an event loop:
+  ///   * query routes (POST /query, POST /jobs/<id>/query) go through the
+  ///     facade's continuation chain and return once the request is queued;
+  ///   * every other POST (train / deploy / undeploy, and POST errors) is
+  ///     control plane: /train splits the dataset and starts containers,
+  ///     /deploy times forwards to calibrate, and /undeploy joins
+  ///     dispatchers, so they run one at a time on the gateway's control
+  ///     thread;
+  ///   * GET routes (status, metrics) only read counters and are answered
+  ///     via Dispatch before DispatchAsync returns.
   void DispatchAsync(const GatewayRequest& request, AsyncCompletion done);
 
   /// Request parser (exposed for tests). Parameter keys and values are
@@ -107,6 +120,9 @@ class Gateway {
   GatewayResponse Undeploy(const GatewayRequest& request);
 
   Rafiki* rafiki_;
+  /// Control POSTs waiting for the control thread.
+  BlockingQueue<std::function<void()>> control_;
+  std::thread control_thread_;
 };
 
 }  // namespace rafiki::api

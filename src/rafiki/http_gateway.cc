@@ -37,8 +37,8 @@ net::HttpResponse ToHttp(const GatewayResponse& response) {
 namespace {
 
 /// Extends a successful metrics-route body with the front door's own
-/// gauges (handler-pool occupancy vs parked async responses), keyed off
-/// the decoded request path so only `GET /jobs/<id>/metrics` pays it.
+/// gauges (admitted vs parked responses), keyed off the decoded request
+/// path so only `GET /jobs/<id>/metrics` pays it.
 void MaybeAppendServerGauges(const std::string& path,
                              const ServerStatsFn& server_stats,
                              GatewayResponse* response) {
@@ -48,28 +48,13 @@ void MaybeAppendServerGauges(const std::string& path,
   }
   net::HttpServerStats stats = server_stats();
   response->body += StrFormat(
-      "&inflight=%llu&inflight_peak=%llu&handler_busy=%llu&async_pending=%llu",
+      "&inflight=%llu&inflight_peak=%llu&async_pending=%llu",
       static_cast<unsigned long long>(stats.inflight),
       static_cast<unsigned long long>(stats.inflight_peak),
-      static_cast<unsigned long long>(stats.handler_busy),
       static_cast<unsigned long long>(stats.async_pending));
 }
 
 }  // namespace
-
-net::HttpServer::Handler MakeGatewayHttpHandler(Gateway* gateway,
-                                                ServerStatsFn server_stats) {
-  return [gateway, server_stats](const net::HttpRequest& http) {
-    Result<GatewayRequest> request = FromHttp(http);
-    if (!request.ok()) {
-      return ToHttp(GatewayResponse{
-          400, "error=" + request.status().ToString()});
-    }
-    GatewayResponse response = gateway->Dispatch(*request);
-    MaybeAppendServerGauges(request->path, server_stats, &response);
-    return ToHttp(response);
-  };
-}
 
 net::HttpServer::AsyncHandler MakeGatewayAsyncHttpHandler(
     Gateway* gateway, ServerStatsFn server_stats) {
@@ -81,9 +66,9 @@ net::HttpServer::AsyncHandler MakeGatewayAsyncHttpHandler(
           GatewayResponse{400, "error=" + request.status().ToString()}));
       return;
     }
-    // The writer rides the continuation: control-plane routes complete it
-    // before DispatchAsync returns, query routes complete it from the
-    // inference dispatcher thread at batch completion.
+    // The writer rides the continuation: GET routes complete it before
+    // DispatchAsync returns, query routes from the inference dispatcher
+    // thread at batch completion, control POSTs from the control thread.
     std::string path = request->path;
     gateway->DispatchAsync(
         *request, [writer, server_stats, path](GatewayResponse response) {

@@ -11,9 +11,9 @@ namespace rafiki::api {
 
 /// Optional front-door gauge source for the metrics route. When provided,
 /// successful `GET /jobs/<id>/metrics` responses are extended with
-/// `inflight=&inflight_peak=&handler_busy=&async_pending=` so handler-pool
-/// occupancy and parked async responses are observable independently of
-/// the job-level queue. Must be callable from any handler thread.
+/// `inflight=&inflight_peak=&async_pending=` so admitted and parked
+/// responses are observable independently of the job-level queue. Must be
+/// callable from any event-loop thread.
 using ServerStatsFn = std::function<net::HttpServerStats()>;
 
 /// Maps one parsed HTTP request onto the gateway's request form:
@@ -24,18 +24,13 @@ Result<GatewayRequest> FromHttp(const net::HttpRequest& http);
 /// Maps a gateway response onto HTTP (status + key=value text body).
 net::HttpResponse ToHttp(const GatewayResponse& response);
 
-/// A thread-safe net::HttpServer handler that serves `gateway` — the glue
-/// between the epoll front door and the routing layer. `gateway` must
-/// outlive the server. Every route is answered synchronously: a query
-/// pins its handler thread until the batch completes.
-net::HttpServer::Handler MakeGatewayHttpHandler(
-    Gateway* gateway, ServerStatsFn server_stats = nullptr);
-
-/// Async variant: query routes hand their ResponseWriter to the inference
-/// runtime's continuation chain and release the handler thread
-/// immediately, so in-flight queries are bounded by the server's
-/// max_inflight rather than its handler-pool size. Control-plane routes
-/// still complete inline. `gateway` must outlive the server.
+/// The net::HttpServer handler that serves `gateway` — the glue between the
+/// epoll front door and the routing layer. It never blocks its event loop:
+/// the ResponseWriter rides Gateway::DispatchAsync's continuation, so query
+/// routes complete from the inference dispatcher and control POSTs from
+/// the gateway's control thread; GET routes complete inline. In-flight
+/// queries are bounded by the server's max_inflight. `gateway` must
+/// outlive the server.
 net::HttpServer::AsyncHandler MakeGatewayAsyncHttpHandler(
     Gateway* gateway, ServerStatsFn server_stats = nullptr);
 

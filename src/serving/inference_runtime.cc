@@ -83,12 +83,16 @@ std::vector<uint32_t> BuildVariantMasks(
   return masks;
 }
 
-/// A push wakes a dispatcher only when it makes the queue length 1 or a
-/// size in B: Algorithm 3's decision changes only at those lengths, a
+/// A push wakes a dispatcher only when it can change Algorithm 3's
+/// decision: while the queue is shorter than min(B) the effective batch is
+/// the queue itself, so every push moves the flush deadline earlier, and at
+/// a size in B a larger batch becomes feasible. Between sizes in B a
 /// waiting dispatcher's flush deadline covers the rest, and the RL policy
-/// never waits on a non-empty queue.
+/// never waits on a non-empty queue. With 1 in B this wakes at length 1
+/// and at the sizes in B only.
 bool PushWakes(const std::vector<int64_t>& batch_sizes, size_t len) {
-  if (len == 1) return true;
+  int64_t min_b = *std::min_element(batch_sizes.begin(), batch_sizes.end());
+  if (len < static_cast<size_t>(min_b)) return true;
   for (int64_t b : batch_sizes) {
     if (static_cast<size_t>(b) == len) return true;
   }

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/blocking_queue.h"
-#include "common/clock.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -176,23 +175,6 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
-}
-
-TEST(SimClockTest, AdvanceAccumulates) {
-  SimClock clock(10.0);
-  EXPECT_DOUBLE_EQ(clock.Now(), 10.0);
-  clock.Advance(2.5);
-  clock.Sleep(1.5);
-  EXPECT_DOUBLE_EQ(clock.Now(), 14.0);
-  clock.AdvanceTo(20.0);
-  EXPECT_DOUBLE_EQ(clock.Now(), 20.0);
-}
-
-TEST(RealClockTest, MonotonicallyIncreases) {
-  RealClock clock;
-  double t0 = clock.Now();
-  clock.Sleep(0.005);
-  EXPECT_GT(clock.Now(), t0);
 }
 
 TEST(BlockingQueueTest, FifoOrder) {

@@ -290,10 +290,14 @@ TEST(EventLoopTest, StopFromTimerEndsRun) {
   bool fired = false;
   loop.RunAfter(0.010, [&] {
     fired = true;
+    EXPECT_TRUE(loop.IsInLoopThread());
     loop.Stop();
   });
   loop.Run();  // returns once the timer stops it
   EXPECT_TRUE(fired);
+  // Run() released its thread: a later thread that reuses the id must not
+  // pass for the owner.
+  EXPECT_FALSE(loop.IsInLoopThread());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The continuation-based serving path of the HTTP server: handlers that
 // park their ResponseWriter and complete it later from another thread.
 // Covers pipelined re-ordering under reverse-order completion, in-flight
-// concurrency beyond the handler-pool size, drain-while-async-pending,
+// concurrency beyond the event-loop count, drain-while-async-pending,
 // dropped-writer recovery, one-shot semantics, and completion after Stop().
 
 #include "net/http_server.h"
@@ -70,7 +70,6 @@ TEST(HttpAsyncTest, OutOfOrderCompletionsWriteInRequestOrder) {
   WriterStash stash;
   HttpServerOptions opts;
   opts.num_workers = 1;
-  opts.num_handler_threads = 4;
   opts.max_pipeline = kPipelined;
   HttpServer server(
       [&stash](const HttpRequest& request,
@@ -92,7 +91,7 @@ TEST(HttpAsyncTest, OutOfOrderCompletionsWriteInRequestOrder) {
   // Every request is admitted concurrently; nothing is on the wire yet.
   EXPECT_EQ(server.stats().inflight, kPipelined);
 
-  // Complete in REVERSE request order, from this (non-handler) thread.
+  // Complete in REVERSE request order, from this (non-loop) thread.
   {
     std::lock_guard<std::mutex> lock(stash.mu);
     for (size_t i = stash.writers.size(); i-- > 0;) {
@@ -118,14 +117,14 @@ TEST(HttpAsyncTest, OutOfOrderCompletionsWriteInRequestOrder) {
   EXPECT_EQ(stats.inflight, 0u);
 }
 
-TEST(HttpAsyncTest, InflightExceedsHandlerThreads) {
-  // ONE handler thread, eight parked requests: the continuation path must
-  // carry all eight in flight at once — the sync path could never exceed 1.
+TEST(HttpAsyncTest, InflightExceedsEventLoops) {
+  // Two event loops, eight parked requests: the continuation path must
+  // carry all eight in flight at once — a loop that held each request until
+  // it was answered could never exceed 2.
   constexpr size_t kConcurrent = 8;
   WriterStash stash;
   HttpServerOptions opts;
   opts.num_workers = 2;
-  opts.num_handler_threads = 1;
   HttpServer server(
       [&stash](const HttpRequest& request,
                HttpServer::ResponseWriter writer) {
@@ -145,12 +144,10 @@ TEST(HttpAsyncTest, InflightExceedsHandlerThreads) {
   ASSERT_TRUE(stash.WaitFor(kConcurrent));
 
   // The stash fills when the handler parks the writer, a moment before the
-  // handler callback returns — poll until the last one has handed back its
-  // pool slot and its request is accounted as parked.
+  // handler callback returns — poll until the last one has returned and
+  // its request is accounted as parked.
   HttpServerStats mid = server.stats();
-  for (int i = 0; i < 2000 && (mid.async_pending != kConcurrent ||
-                               mid.handler_busy != 0);
-       ++i) {
+  for (int i = 0; i < 2000 && mid.async_pending != kConcurrent; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     mid = server.stats();
   }
@@ -158,7 +155,6 @@ TEST(HttpAsyncTest, InflightExceedsHandlerThreads) {
   EXPECT_GE(mid.inflight_peak, kConcurrent);
   // All handlers have returned; the responses are parked asynchronously.
   EXPECT_EQ(mid.async_pending, kConcurrent);
-  EXPECT_EQ(mid.handler_busy, 0u);
 
   {
     std::lock_guard<std::mutex> lock(stash.mu);

@@ -27,7 +27,9 @@ std::string Field(const std::string& body, const std::string& key) {
 
 TEST(HttpEndToEndTest, FullLifecycleOverRealTcp) {
   // The complete Figure 18 loop over an actual socket: import -> train ->
-  // poll -> deploy -> query -> metrics -> undeploy, all through HTTP.
+  // poll -> deploy -> query -> metrics -> undeploy, all through HTTP. Train,
+  // deploy and undeploy cross the gateway's control thread; the query
+  // completes from the job's dispatcher.
   Rafiki rafiki;
   data::SyntheticTaskOptions task;
   task.num_classes = 3;
@@ -40,8 +42,7 @@ TEST(HttpEndToEndTest, FullLifecycleOverRealTcp) {
   Gateway gateway(&rafiki);
   net::HttpServerOptions opts;
   opts.num_workers = 2;
-  opts.num_handler_threads = 2;
-  net::HttpServer server(MakeGatewayHttpHandler(&gateway), opts);
+  net::HttpServer server(MakeGatewayAsyncHttpHandler(&gateway), opts);
   ASSERT_TRUE(server.Start().ok());
 
   net::HttpClient client("127.0.0.1", server.port());
@@ -127,7 +128,7 @@ TEST(HttpEndToEndTest, FullLifecycleOverRealTcp) {
 
 TEST(HttpEndToEndTest, AsyncConcurrentSubmitStorm) {
   // 8 threads x 64 queries through the full continuation chain: epoll
-  // server (async handler, 2 handler threads) -> gateway DispatchAsync ->
+  // server (async handler on 2 event loops) -> gateway DispatchAsync ->
   // InferenceRuntime::SubmitAsync -> batch completion -> ResponseWriter.
   // TSan runs this; it is the data-race canary for the whole async path.
   constexpr int kThreads = 8;
@@ -152,8 +153,7 @@ TEST(HttpEndToEndTest, AsyncConcurrentSubmitStorm) {
 
   Gateway gateway(&rafiki);
   net::HttpServerOptions opts;
-  opts.num_workers = 2;
-  opts.num_handler_threads = 2;  // far fewer than concurrent queries
+  opts.num_workers = 2;  // far fewer than concurrent queries
   opts.max_inflight = 1024;
   // Late-bound stats cell: the handler exists before the server it gauges.
   auto server_cell = std::make_shared<net::HttpServer*>(nullptr);
@@ -201,15 +201,14 @@ TEST(HttpEndToEndTest, AsyncConcurrentSubmitStorm) {
   EXPECT_EQ(metrics->expired, 0);
 
   // The metrics route reports the front door's own gauges. The metrics
-  // request itself is the only in-flight work: its handler is running
-  // (pool occupancy 1) and nothing is parked async.
+  // request itself is the only in-flight work: its handler is running and
+  // nothing is parked async.
   net::HttpClient probe("127.0.0.1", server.port());
   auto gauges = probe.Get("/jobs/" + infer + "/metrics");
   ASSERT_TRUE(gauges.ok());
   ASSERT_EQ(gauges->status, 200) << gauges->body;
   EXPECT_EQ(Field(gauges->body, "expired"), "0");
   EXPECT_EQ(Field(gauges->body, "inflight"), "1");
-  EXPECT_EQ(Field(gauges->body, "handler_busy"), "1");
   EXPECT_EQ(Field(gauges->body, "async_pending"), "0");
   EXPECT_FALSE(Field(gauges->body, "inflight_peak").empty());
 

@@ -1,14 +1,14 @@
 // Proves the tentpole zero-allocation property of the HTTP data plane:
 // once one warmup pass has sized every pool — per-worker ResponseSlot
-// arenas, the parser's string capacities, the handler-pool ring, the
-// mailbox scratch vectors, the WriterState free list, and the client's
-// wire/body buffers — a steady-state keep-alive echo round trip performs
-// no heap allocations at all, on the server side or the client side.
+// arenas, the parser's string capacities, the inline-completion ring, the
+// WriterState free list, and the client's wire/body buffers — a
+// steady-state keep-alive echo round trip performs no heap allocations at
+// all, on the server side or the client side.
 //
 // The proof is the same global operator new/delete hook as
 // train_step_alloc_test.cc: allocations are counted while a flag is armed,
 // and the armed window covers hundreds of complete request/response
-// cycles through real sockets, the epoll loop, the handler pool, and the
+// cycles through real sockets, the epoll loop, the handler, and the
 // scatter-gather flush.
 
 #include <atomic>
@@ -55,17 +55,11 @@ namespace {
 
 TEST(HttpEchoAllocTest, SteadyStateKeepAliveEchoIsAllocationFree) {
   HttpServerOptions opts;
+  // Parse, handler, serialize, and flush all happen on the one worker
+  // thread, so slot recycling is synchronous and the zero-allocation
+  // property is deterministic.
   opts.num_workers = 1;
-  opts.num_handler_threads = 1;
   opts.max_inflight = 64;
-  // Run-to-completion: parse, handler, serialize, and flush all happen on
-  // the one worker thread, so slot recycling is synchronous and the
-  // zero-allocation property is deterministic. (The handler-pool path is
-  // also allocation-free at steady state, but a scheduler preemption
-  // between a completion and the handler's hold release can strand the
-  // slot in the `returned` mailbox for a beat and force a fresh arena —
-  // a benign race that would make this assertion flaky.)
-  opts.inline_handlers = true;
   // Null handler: echo the request body from the pooled slot, in place.
   HttpServer server(
       HttpServer::AsyncHandler(
@@ -81,7 +75,7 @@ TEST(HttpEchoAllocTest, SteadyStateKeepAliveEchoIsAllocationFree) {
   const std::string body = "0,1,0,0,0,1,0,0";
 
   // Warmup: sizes every buffer on the path. A few hundred iterations also
-  // let amortized growers (mailbox vectors, rings) reach their plateau.
+  // let amortized growers (rings, flush lists) reach their plateau.
   for (int i = 0; i < 200; ++i) {
     Result<int> status = client.RequestView("POST", "/echo", body);
     ASSERT_TRUE(status.ok()) << status.status().ToString();

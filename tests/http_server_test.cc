@@ -23,6 +23,41 @@ HttpResponse EchoHandler(const HttpRequest& request) {
   return resp;
 }
 
+/// Holds requests in flight without blocking an event loop: the handler
+/// parks its writer here and returns, and the test completes it later.
+struct WriterStash {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<HttpServer::ResponseWriter> writers;
+
+  HttpServer::AsyncHandler Handler() {
+    return [this](const HttpRequest&, HttpServer::ResponseWriter writer) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        writers.push_back(std::move(writer));
+      }
+      cv.notify_all();
+    };
+  }
+
+  bool WaitFor(size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return writers.size() >= n; });
+  }
+
+  /// Completes every parked writer with `body`, in parking order.
+  void CompleteAll(const std::string& body) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (HttpServer::ResponseWriter& writer : writers) {
+      HttpResponse resp;
+      resp.body = body;
+      writer.Complete(resp);
+    }
+    writers.clear();
+  }
+};
+
 /// Raw-socket helper: sends `wire` and reads until `want` complete
 /// responses parsed or the peer closes. Returns the statuses in order.
 std::vector<int> RawExchange(uint16_t port, const std::string& wire,
@@ -174,58 +209,48 @@ TEST(HttpServerTest, MalformedRequestsGetParserStatusAndClose) {
 }
 
 TEST(HttpServerTest, OverloadShedsBoundedAndConserves) {
-  // Latch the handler so admitted requests pile up at the cap; everything
+  // Park the writers so admitted requests pile up at the cap; everything
   // beyond max_inflight must be answered 503 by the event loop.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
   constexpr size_t kCap = 2;
   constexpr int kClients = 8;
-
+  WriterStash stash;
   HttpServerOptions opts;
   opts.max_inflight = kCap;
-  opts.num_handler_threads = static_cast<int>(kCap);
-  HttpServer server(
-      [&](const HttpRequest&) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return release; });
-        return HttpResponse{};
-      },
-      opts);
+  HttpServer server(stash.Handler(), opts);
   ASSERT_TRUE(server.Start().ok());
 
+  std::mutex mu;
+  std::condition_variable cv;
+  int ok_count = 0;
+  int overloaded_count = 0;
   std::vector<std::thread> clients;
-  std::atomic<int> ok_count{0};
-  std::atomic<int> overloaded_count{0};
   for (int i = 0; i < kClients; ++i) {
     clients.emplace_back([&] {
       HttpClient client("127.0.0.1", server.port());
       Result<HttpResponse> resp = client.Get("/");
-      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-      if (resp->status == 200) ++ok_count;
-      if (resp->status == 503) ++overloaded_count;
+      EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+      std::lock_guard<std::mutex> lock(mu);
+      if (resp.ok() && resp->status == 200) ++ok_count;
+      if (resp.ok() && resp->status == 503) ++overloaded_count;
+      cv.notify_all();
     });
   }
-  // Wait until every request reached the server, then open the latch.
-  for (int i = 0; i < 10000; ++i) {
-    if (server.stats().requests_total == static_cast<uint64_t>(kClients)) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(server.stats().requests_total,
-            static_cast<uint64_t>(kClients));
+  // Every request has reached the server once kCap are parked and the
+  // rest have been answered; only then free the admitted ones.
+  EXPECT_TRUE(stash.WaitFor(kCap));
   {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] {
+      return overloaded_count == kClients - static_cast<int>(kCap);
+    }));
   }
-  cv.notify_all();
+  stash.CompleteAll("admitted");
   for (std::thread& t : clients) t.join();
   server.Stop();
 
   // Exact admission accounting: the cap admits kCap, the rest shed.
-  EXPECT_EQ(ok_count.load(), static_cast<int>(kCap));
-  EXPECT_EQ(overloaded_count.load(), kClients - static_cast<int>(kCap));
+  EXPECT_EQ(ok_count, static_cast<int>(kCap));
+  EXPECT_EQ(overloaded_count, kClients - static_cast<int>(kCap));
   HttpServerStats stats = server.stats();
   EXPECT_EQ(stats.handled, kCap);
   EXPECT_EQ(stats.rejected_overload, kClients - kCap);
@@ -235,50 +260,16 @@ TEST(HttpServerTest, OverloadShedsBoundedAndConserves) {
                 stats.rejected_draining);
 }
 
-TEST(HttpServerTest, GracefulShutdownDrainsInFlightRequests) {
-  std::atomic<bool> entered{false};
-  HttpServer server([&](const HttpRequest&) {
-    entered = true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    HttpResponse resp;
-    resp.body = "slow-done";
-    return resp;
-  });
-  ASSERT_TRUE(server.Start().ok());
-  uint16_t port = server.port();
-
-  Result<HttpResponse> got = Status::Internal("unset");
-  std::thread client_thread([&] {
-    HttpClient client("127.0.0.1", port);
-    got = client.Get("/slow");
-  });
-  while (!entered) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  server.Stop();  // must wait for the in-flight response to be written
-  client_thread.join();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->status, 200);
-  EXPECT_EQ(got->body, "slow-done");
-  EXPECT_EQ(server.stats().handled, 1u);
-}
-
 TEST(HttpServerTest, RequestsDuringDrainAre503) {
-  // A latched handler keeps the server in kDraining long enough for a
+  // A parked writer keeps the server in kDraining long enough for a
   // request on a second, already-accepted connection to be refused 503.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
+  WriterStash stash;
   HttpServerOptions opts;
   // One worker: the idle second connection shares the event loop with the
   // busy one, so it drains (answers 503) instead of being closed outright
   // by an already-idle worker.
   opts.num_workers = 1;
-  HttpServer server(
-      [&](const HttpRequest&) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return release; });
-        return HttpResponse{};
-      },
-      opts);
+  HttpServer server(stash.Handler(), opts);
   ASSERT_TRUE(server.Start().ok());
   uint16_t port = server.port();
 
@@ -286,9 +277,7 @@ TEST(HttpServerTest, RequestsDuringDrainAre503) {
     HttpClient client("127.0.0.1", port);
     (void)client.Get("/hold");
   });
-  while (server.stats().requests_total == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(stash.WaitFor(1));
   // Second connection must exist before Stop() closes the listener.
   auto sock = ConnectTcp("127.0.0.1", port, 10.0);
   ASSERT_TRUE(sock.ok());
@@ -311,11 +300,7 @@ TEST(HttpServerTest, RequestsDuringDrainAre503) {
     parser.Feed(buf, *n);
   }
   EXPECT_EQ(parser.status(), 503);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  stash.CompleteAll("held");
   first.join();
   stopper.join();
   EXPECT_EQ(server.stats().rejected_draining, 1u);
@@ -345,24 +330,21 @@ TEST(HttpServerTest, PartialWritesFlushViaEpollout) {
   server.Stop();
 }
 
-TEST(HttpServerTest, InlineHandlersServeMixedInlineAndParkedCompletions) {
-  // Run-to-completion mode: handlers execute on the event-loop thread.
-  // /inline/N completes its writer immediately (the no-handoff fast path);
-  // /parked/N hands the writer to a background thread, so its completion
-  // comes back through the cross-thread mailbox while later pipelined
-  // requests complete inline — responses must still be emitted in strict
-  // request order.
-  std::mutex mu;
-  std::vector<HttpServer::ResponseWriter> parked;
+TEST(HttpServerTest, ServeMixedInlineAndParkedCompletions) {
+  // Handlers execute on the event-loop thread. /inline/N completes its
+  // writer immediately (the no-handoff fast path); /parked/N hands the
+  // writer to a background thread, so its completion comes back through
+  // EventLoop::Post while later pipelined requests complete inline —
+  // responses must still be emitted in strict request order.
+  WriterStash parked;
+  HttpServer::AsyncHandler park = parked.Handler();
   HttpServerOptions opts;
-  opts.inline_handlers = true;
   opts.num_workers = 1;
   HttpServer server(
       HttpServer::AsyncHandler(
           [&](const HttpRequest& request, HttpServer::ResponseWriter writer) {
             if (request.path.rfind("/parked/", 0) == 0) {
-              std::lock_guard<std::mutex> lock(mu);
-              parked.push_back(std::move(writer));
+              park(request, std::move(writer));
               return;  // completed later, from another thread
             }
             HttpResponse& out = writer.response();
@@ -375,19 +357,8 @@ TEST(HttpServerTest, InlineHandlersServeMixedInlineAndParkedCompletions) {
 
   std::thread completer([&] {
     // Complete parked writers out-of-band once both are captured.
-    for (;;) {
-      std::unique_lock<std::mutex> lock(mu);
-      if (parked.size() >= 2) break;
-      lock.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    for (HttpServer::ResponseWriter& w : parked) {
-      HttpResponse resp;
-      resp.body = "parked";
-      w.Complete(resp);
-    }
-    parked.clear();
+    EXPECT_TRUE(parked.WaitFor(2));
+    parked.CompleteAll("parked");
   });
 
   // Pipelined burst: parked, inline, parked, inline. The two inline

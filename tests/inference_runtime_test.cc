@@ -851,5 +851,51 @@ TEST(InferenceRuntimeTest, RlPolicyHonorsModelSubsetSelection) {
   ASSERT_TRUE(runtime.Undeploy("j").ok());
 }
 
+TEST(InferenceRuntimeTest, PushBelowMinBatchWakesDispatcher) {
+  // With min(B) = 4 a queue of 1–3 requests has no feasible batch, so each
+  // push can change the decision and must wake the dispatcher. The policy
+  // dispatches once 3 requests are queued; a dispatcher left asleep since
+  // the first push would answer at its flush deadline, tau - delta = 1.8 s.
+  class DispatchAtThreePolicy : public SchedulerPolicy {
+   public:
+    ServingAction Decide(const ServingObs& obs) override {
+      if (obs.queue_len < 3) return ServingAction{};
+      return ServingAction{true, /*model_mask=*/1u, /*batch_size=*/3};
+    }
+    std::string name() const override { return "dispatch_at_three"; }
+  };
+  InferenceRuntime runtime;
+  std::vector<ServableModel> models;
+  models.push_back(MakeIdentityModel(4, 0.9, "id"));
+  RuntimeOptions options;
+  options.batch_sizes = {4, 8};
+  options.calibrate = false;
+  options.tau = 2.0;
+  options.policy_factory = [](const PolicyInit&) {
+    return std::make_unique<DispatchAtThreePolicy>();
+  };
+  ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
+
+  auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<Result<EnsemblePrediction>>> answers;
+  for (int64_t i = 0; i < 3; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    auto submitted = runtime.Submit("j", OneHot(4, i));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    answers.push_back(std::move(*submitted));
+  }
+  for (int64_t i = 0; i < 3; ++i) {
+    Result<EnsemblePrediction> answer = answers[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->label, i);
+  }
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_LT(elapsed, 0.5)
+      << "dispatcher slept through the pushes below min(B)";
+  ASSERT_TRUE(runtime.Undeploy("j").ok());
+}
+
 }  // namespace
 }  // namespace rafiki::serving

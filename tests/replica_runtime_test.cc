@@ -454,7 +454,6 @@ TEST(ReplicaRuntimeTest, PipelinedHttpResponsesStayInSubmitOrder) {
   api::Gateway gateway(&service);
   net::HttpServerOptions opts;
   opts.num_workers = 1;
-  opts.num_handler_threads = 2;
   opts.max_pipeline = 64;
   net::HttpServer server(api::MakeGatewayAsyncHttpHandler(&gateway), opts);
   ASSERT_TRUE(server.Start().ok());
@@ -512,7 +511,6 @@ TEST(ReplicaRuntimeTest, ClosedLoopRunsLeaveNoRequestBehind) {
   opts.num_workers = 2;
   opts.max_inflight = 1024;
   opts.listen_backlog = 1024;  // all 256 connections SYN at once
-  opts.inline_handlers = true;
   net::HttpServer server(api::MakeGatewayAsyncHttpHandler(&gateway), opts);
   ASSERT_TRUE(server.Start().ok());
 
