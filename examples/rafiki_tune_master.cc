@@ -14,6 +14,7 @@
 // Output is machine-parseable (smoke_tune.sh greps it):
 //   port=7070
 //   spawned worker=w0 pid=1234
+//   progress proposed=2 completed=0 lost=0 active=2   (on each change)
 //   restarted worker=w0 pid=1301 restarts=1
 //   worker=w0 restarts=1
 //   ledger proposed=12 completed=11 lost=1 active=0 balanced=1
@@ -252,8 +253,21 @@ int main(int argc, char** argv) {
 
   // Supervisor loop (§6.3): while the study runs, reap worker exits and
   // restart any that died by signal — clean exits mean the worker was
-  // retired by the master and is done for good.
+  // retired by the master and is done for good. Each ledger change is
+  // printed, so a script can act on the study's progress.
+  rafiki::tuning::TrialLedger printed;
   while (!master_done.load(std::memory_order_acquire)) {
+    rafiki::tuning::TrialLedger ledger = master.ledger();
+    if (ledger != printed) {
+      std::printf("progress proposed=%lld completed=%lld lost=%lld "
+                  "active=%lld\n",
+                  static_cast<long long>(ledger.proposed),
+                  static_cast<long long>(ledger.completed),
+                  static_cast<long long>(ledger.lost),
+                  static_cast<long long>(ledger.active));
+      std::fflush(stdout);
+      printed = ledger;
+    }
     for (const auto& exit : runner.Poll()) {
       if (!exit.signaled) continue;
       rafiki::Status restarted = runner.Restart(exit.name);

@@ -34,11 +34,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Long trials (1000 surrogate epochs, early stop effectively off) keep the
-# study running ~5s, so the kill below reliably lands mid-study even on a
-# fast box; a checkpoint every event means a master restart (not exercised
-# here) could resume. The bus picks an ephemeral port; workers learn it
-# from argv.
+# Long trials (1000 surrogate epochs, early stop effectively off) keep each
+# trial running for about 0.3 s and the study for 2-4 s on a 4-core host
+# (0.9 s without the per-event checkpoint); a checkpoint every event means
+# a master restart (not exercised here) could resume. The bus picks an
+# ephemeral port; workers learn it from argv.
 "$master" --study=smoke --workers=2 --trials=16 --max-epochs=1000 \
   --patience=1000 --checkpoint-every=1 --checkpoint-dir="$ckpt_dir" \
   >"$log" 2>&1 &
@@ -65,8 +65,17 @@ if [[ -z "$victim_pid" ]]; then
 fi
 echo "smoke: master pid=$master_pid victim worker=w1 pid=$victim_pid"
 
-# Let w1 get into a trial, then kill it the way a lost node would die.
-sleep 0.3
+# Wait until the master reports both workers mid-trial, then kill w1 the
+# way a lost node would die.
+for _ in $(seq 1 150); do
+  grep -q '^progress .* active=2$' "$log" && break
+  sleep 0.1
+done
+if ! grep -q '^progress .* active=2$' "$log"; then
+  echo "master never reported both workers mid-trial:" >&2
+  cat "$log" >&2
+  exit 1
+fi
 kill -KILL "$victim_pid" 2>/dev/null || {
   echo "victim already gone before the kill; study too fast for the smoke" >&2
   cat "$log" >&2
@@ -109,6 +118,13 @@ fi
 # or written off as lost, with nothing still active.
 if ! grep -q '^ledger .* balanced=1$' "$log"; then
   echo "trial ledger did not balance:" >&2
+  cat "$log" >&2
+  exit 1
+fi
+# The kill landed mid-trial: the victim's trial was written off.
+lost="$(sed -n 's/^ledger .* lost=\([0-9]*\) .*$/\1/p' "$log")"
+if [[ -z "$lost" || "$lost" -lt 1 ]]; then
+  echo "the kill lost no trial (lost='$lost'); it missed the study:" >&2
   cat "$log" >&2
   exit 1
 fi

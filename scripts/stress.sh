@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repeats the concurrent test suites until one fails: the HTTP server and
 # client, the gateway, the replicated serving plane, the inference runtime,
-# the load generator, the RPC bus and the reactor. Run it in a tree that is
-# already built, for example a sanitizer build, to hunt interleavings that a
-# single pass rarely hits.
+# the load generator, the RPC bus, the reactor, and the tuning protocol's
+# studies and failure recovery. Run it in a tree that is already built, for
+# example a sanitizer build, to hunt interleavings that a single pass rarely
+# hits.
 #
 # Usage: scripts/stress.sh BUILD_DIR [N]
 #   N  repeats per test (default 5); the script exits non-zero on the first
@@ -23,4 +24,4 @@ fi
 
 cd "$build_dir"
 ctest --output-on-failure --repeat "until-fail:$repeats" -j3 \
-  -R 'http_|gateway|replica|inference|loadgen|rpc_bus|event_loop'
+  -R 'http_|gateway|replica|inference|loadgen|rpc_bus|event_loop|study|failure_recovery'

@@ -72,7 +72,8 @@ class Reader {
   size_t pos_ = 0;
 };
 
-constexpr uint8_t kMaxMessageType = static_cast<uint8_t>(MessageType::kPsAck);
+constexpr uint8_t kMaxMessageType =
+    static_cast<uint8_t>(MessageType::kContinue);
 constexpr uint8_t kMaxFrameType = static_cast<uint8_t>(FrameType::kPing);
 constexpr uint8_t kMinFrameType = static_cast<uint8_t>(FrameType::kAnnounce);
 

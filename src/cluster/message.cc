@@ -30,6 +30,8 @@ const char* MessageTypeToString(MessageType type) {
       return "kPsValue";
     case MessageType::kPsAck:
       return "kPsAck";
+    case MessageType::kContinue:
+      return "kContinue";
   }
   return "unknown";
 }

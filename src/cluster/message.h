@@ -9,7 +9,10 @@ namespace rafiki::cluster {
 
 /// Message kinds exchanged between a study master and its workers —
 /// exactly the protocol of Algorithms 1 and 2 in the paper, plus the
-/// transport-level kinds needed to run it over real queues.
+/// transport-level kinds needed to run it over real queues. The master
+/// answers every kReport, and under Algorithm 1 every kFinish, with exactly
+/// one verdict: kPut, kStop or kContinue. The value is the wire byte
+/// (frame.cc), so new kinds go at the end.
 enum class MessageType {
   kRequest,       // worker -> master: give me a trial
   kTrial,         // master -> worker: here is a trial to evaluate
@@ -25,6 +28,7 @@ enum class MessageType {
   kPsGet,    // worker -> ps service: fetch the checkpoint of a scope
   kPsValue,  // ps service -> worker: kPsGet reply (ok flag + blob)
   kPsAck,    // ps service -> worker: kPsPut reply (ok flag)
+  kContinue,  // master -> worker: train on (neither kPut nor kStop)
 };
 
 const char* MessageTypeToString(MessageType type);

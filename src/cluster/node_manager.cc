@@ -16,6 +16,7 @@ void NodeManager::Launch(Container& c) {
   c.thread = std::thread([body = std::move(body), token, running]() {
     body(*token);
     running->store(false, std::memory_order_release);
+    running->notify_all();
   });
 }
 
@@ -85,6 +86,17 @@ Status NodeManager::WaitContainer(const std::string& name) {
   auto it = containers_.find(name);
   if (it == containers_.end()) {
     return Status::NotFound(StrFormat("no container '%s'", name.c_str()));
+  }
+  // Wait with the entry still listed, so IsRunning stays true until the
+  // body returns and concurrent waiters all block; then reap it.
+  std::shared_ptr<std::atomic<bool>> running = it->second.running;
+  lock.unlock();
+  running->wait(true, std::memory_order_acquire);
+  lock.lock();
+  it = containers_.find(name);
+  // Reaped by another caller, or relaunched: the run waited on is over.
+  if (it == containers_.end() || it->second.running != running) {
+    return Status::OK();
   }
   std::thread t = std::move(it->second.thread);
   containers_.erase(it);

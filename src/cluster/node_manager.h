@@ -59,6 +59,7 @@ class NodeManager {
   int RestartCount(const std::string& name) const;
 
   /// Blocks until the container body returns on its own, then reaps it.
+  /// NotFound if unknown or already reaped.
   Status WaitContainer(const std::string& name);
 
   /// Kills everything (also run by the destructor).

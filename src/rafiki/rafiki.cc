@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -192,11 +191,11 @@ Result<JobInfo> Rafiki::GetJobInfo(const std::string& job_id) {
 }
 
 Result<JobInfo> Rafiki::WaitJob(const std::string& job_id) {
-  while (true) {
-    RAFIKI_ASSIGN_OR_RETURN(JobInfo info, GetJobInfo(job_id));
-    if (info.done) return info;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  // Blocks on the master container's exit. NotFound means it was already
+  // reaped (or the job is unknown, which GetJobInfo reports).
+  Status waited = manager_.WaitContainer(job_id + "/master");
+  if (!waited.ok() && !waited.IsNotFound()) return waited;
+  return GetJobInfo(job_id);
 }
 
 Result<std::vector<ModelHandle>> Rafiki::GetModels(

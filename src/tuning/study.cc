@@ -1,6 +1,7 @@
 #include "tuning/study.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "common/logging.h"
@@ -10,6 +11,17 @@ namespace rafiki::tuning {
 
 using cluster::Message;
 using cluster::MessageType;
+
+namespace {
+
+/// Longest single block in Bus::ReceiveFor. Between slices a wait re-checks
+/// its CancelToken, so a container kill takes effect within one slice.
+constexpr std::chrono::milliseconds kWaitSlice{10};
+/// How long a worker waits on a master that is still registered but silent
+/// (it died between receiving a message and replying, across processes).
+constexpr std::chrono::seconds kReplyDeadline{10};
+
+}  // namespace
 
 StudyMaster::StudyMaster(std::string study_name, StudyConfig config,
                          TrialAdvisor* advisor, cluster::Bus* bus,
@@ -34,11 +46,10 @@ void StudyMaster::HandleRequest(const Message& msg) {
   // A kRequest from a worker we believe is mid-trial means the worker was
   // killed and restarted (stateless recovery, §6.3): its previous trial is
   // lost; just hand out a new one.
-  if (active_workers_.erase(msg.from) > 0) {
+  if (active_trials_.erase(msg.from) > 0) {
     lost_.fetch_add(1, std::memory_order_relaxed);
     active_.fetch_sub(1, std::memory_order_relaxed);
   }
-  worker_progress_.erase(msg.from);
 
   std::optional<Trial> trial;
   if (!StopCriterion()) trial = advisor_->Next(msg.from);
@@ -57,20 +68,37 @@ void StudyMaster::HandleRequest(const Message& msg) {
   reply.str_fields["trial"] = trial->Encode();
   reply.num_fields["alpha"] = alpha_;
   bus_->Send(msg.from, std::move(reply));
-  active_workers_.insert(msg.from);
   proposed_.fetch_add(1, std::memory_order_relaxed);
   active_.fetch_add(1, std::memory_order_relaxed);
-  worker_progress_[msg.from] = WorkerProgress{-1.0, 0, trial->id()};
+  active_trials_[msg.from] = WorkerProgress{-1.0, 0, trial->id()};
   // Decay alpha once per issued trial (§4.2.2).
   alpha_ = std::max(config_.alpha_min, alpha_ * config_.alpha_decay);
 }
 
+void StudyMaster::Reply(const Message& msg, MessageType verdict) {
+  Message reply;
+  reply.type = verdict;
+  reply.from = endpoint();
+  reply.trial_id = msg.trial_id;
+  // A failed send means the worker died; its trial is written off when it
+  // re-requests.
+  bus_->Send(msg.from, std::move(reply));
+}
+
 void StudyMaster::HandleReport(const Message& msg) {
+  auto active = active_trials_.find(msg.from);
+  if (active == active_trials_.end() ||
+      active->second.trial_id != msg.trial_id) {
+    // A trial this master does not track is already counted lost: end it.
+    Reply(msg, MessageType::kStop);
+    return;
+  }
   Result<Trial> trial = Trial::Decode(msg.str_fields.count("trial")
                                           ? msg.str_fields.at("trial")
                                           : "");
   if (!trial.ok()) {
-    RAFIKI_LOG(WARNING) << "dropping malformed report from " << msg.from;
+    RAFIKI_LOG(WARNING) << "ignoring malformed report from " << msg.from;
+    Reply(msg, MessageType::kContinue);
     return;
   }
   advisor_->Collect(msg.from, msg.performance, trial.value());
@@ -92,7 +120,7 @@ void StudyMaster::HandleReport(const Message& msg) {
   stats_.progress.push_back(
       ProgressPoint{stats_.total_epochs, wall, stats_.best_performance});
 
-  WorkerProgress& wp = worker_progress_[msg.from];
+  WorkerProgress& wp = active->second;
   bool improved = msg.performance > wp.best + config_.early_stop_min_delta;
   if (improved) {
     wp.best = msg.performance;
@@ -101,43 +129,31 @@ void StudyMaster::HandleReport(const Message& msg) {
     ++wp.stale_epochs;
   }
 
-  if (config_.collaborative) {
-    // Algorithm 2 line 8-12: delta-gated publication, else early stop.
-    if (msg.performance - best_p_ > config_.delta) {
-      Message put;
-      put.type = MessageType::kPut;
-      put.from = endpoint();
-      put.trial_id = msg.trial_id;
-      bus_->Send(msg.from, std::move(put));
-      best_p_ = msg.performance;
-    } else if (wp.stale_epochs >= config_.early_stop_patience) {
-      Message stop;
-      stop.type = MessageType::kStop;
-      stop.from = endpoint();
-      stop.trial_id = msg.trial_id;
-      bus_->Send(msg.from, std::move(stop));
-      wp.stale_epochs = 0;  // avoid repeated kStop spam
-    }
-  } else {
-    // Plain Study still early-stops trials (§7.1: "we run each trial with
-    // early stopping"), it just never shares checkpoints mid-trial.
-    if (wp.stale_epochs >= config_.early_stop_patience) {
-      Message stop;
-      stop.type = MessageType::kStop;
-      stop.from = endpoint();
-      stop.trial_id = msg.trial_id;
-      bus_->Send(msg.from, std::move(stop));
-      wp.stale_epochs = 0;
-    }
+  // Algorithm 2 lines 8-12: delta-gated publication, else early stop. Plain
+  // Study never shares checkpoints mid-trial but still early-stops (§7.1:
+  // "we run each trial with early stopping").
+  MessageType verdict = MessageType::kContinue;
+  if (config_.collaborative && msg.performance - best_p_ > config_.delta) {
+    verdict = MessageType::kPut;
+    best_p_ = msg.performance;
+  } else if (wp.stale_epochs >= config_.early_stop_patience) {
+    verdict = MessageType::kStop;
   }
+  Reply(msg, verdict);
 }
 
 void StudyMaster::HandleFinish(const Message& msg) {
+  auto active = active_trials_.find(msg.from);
+  if (active == active_trials_.end() ||
+      active->second.trial_id != msg.trial_id) {
+    // The trial is already counted lost; do not count it twice.
+    if (!config_.collaborative) Reply(msg, MessageType::kContinue);
+    return;
+  }
+  active_trials_.erase(active);
   ++num_finished_;
   completed_.fetch_add(1, std::memory_order_relaxed);
-  if (active_workers_.erase(msg.from) > 0) {
-    active_.fetch_sub(1, std::memory_order_relaxed);
-  }
+  active_.fetch_sub(1, std::memory_order_relaxed);
 
   Result<Trial> trial = Trial::Decode(msg.str_fields.count("trial")
                                           ? msg.str_fields.at("trial")
@@ -174,15 +190,10 @@ void StudyMaster::HandleFinish(const Message& msg) {
   stats_.trials.push_back(rec);
 
   if (!config_.collaborative) {
-    // Algorithm 1 line 15-17: publish the parameters of the best finished
+    // Algorithm 1 lines 15-17: publish the parameters of the best finished
     // trial so inference can deploy instantly.
-    if (advisor_->IsBest(msg.from)) {
-      Message put;
-      put.type = MessageType::kPut;
-      put.from = endpoint();
-      put.trial_id = msg.trial_id;
-      bus_->Send(msg.from, std::move(put));
-    }
+    Reply(msg, advisor_->IsBest(msg.from) ? MessageType::kPut
+                                          : MessageType::kContinue);
   }
 }
 
@@ -255,15 +266,15 @@ void StudyMaster::Run(cluster::CancelToken& token) {
     RAFIKI_LOG(ERROR) << "master cannot register: " << reg.ToString();
     return;
   }
-  // Event loop of Algorithms 1/2. Poll so container kills are honored.
+  // Event loop of Algorithms 1/2: block for the next message.
   while (!token.cancelled()) {
     if (static_cast<int>(retired_workers_.size()) >= config_.num_workers &&
-        active_workers_.empty()) {
+        active_trials_.empty()) {
       break;
     }
-    std::optional<Message> msg = bus_->TryReceive(endpoint());
+    std::optional<Message> msg = bus_->ReceiveFor(endpoint(), kWaitSlice);
     if (!msg.has_value()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (bus_->EndpointClosed(endpoint())) break;  // the bus shut down
       continue;
     }
     switch (msg->type) {
@@ -317,6 +328,35 @@ void StudyWorker::PublishCheckpoint(trainer::Trainable& trainable,
   }
 }
 
+std::optional<Message> StudyWorker::AwaitMaster(cluster::CancelToken& token) {
+  auto deadline = std::chrono::steady_clock::now() + kReplyDeadline;
+  while (!token.cancelled()) {
+    std::optional<Message> msg = bus_->ReceiveFor(endpoint(), kWaitSlice);
+    if (msg.has_value()) {
+      if (msg->type != MessageType::kShutdown) return msg;
+      token.Cancel();
+      break;
+    }
+    if (bus_->EndpointClosed(endpoint()) ||
+        !bus_->HasEndpoint(master_endpoint()) ||
+        std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<Message> StudyWorker::AwaitVerdict(int64_t trial_id,
+                                                 cluster::CancelToken& token) {
+  while (std::optional<Message> msg = AwaitMaster(token)) {
+    bool verdict = msg->type == MessageType::kPut ||
+                   msg->type == MessageType::kStop ||
+                   msg->type == MessageType::kContinue;
+    if (verdict && msg->trial_id == trial_id) return msg;
+  }
+  return std::nullopt;
+}
+
 void StudyWorker::Run(cluster::CancelToken& token) {
   Status reg = bus_->RegisterEndpoint(endpoint());
   if (!reg.ok() && reg.code() != StatusCode::kAlreadyExists) {
@@ -325,16 +365,15 @@ void StudyWorker::Run(cluster::CancelToken& token) {
   }
 
   while (!token.cancelled()) {
-    // Ask for work.
-    Message req;
-    req.type = MessageType::kRequest;
-    req.from = endpoint();
-    // The master may not have registered its endpoint yet (container
-    // start-up order is unspecified, as with real pods); retry briefly.
+    // Ask for work. The master may not have registered its endpoint yet
+    // (container start-up order is unspecified, as with real pods); retry
+    // briefly.
     bool sent = false;
     for (int attempt = 0; attempt < 20000 && !token.cancelled(); ++attempt) {
-      Message attempt_req = req;
-      if (bus_->Send(master_endpoint(), std::move(attempt_req)).ok()) {
+      Message req;
+      req.type = MessageType::kRequest;
+      req.from = endpoint();
+      if (bus_->Send(master_endpoint(), std::move(req)).ok()) {
         sent = true;
         break;
       }
@@ -342,43 +381,24 @@ void StudyWorker::Run(cluster::CancelToken& token) {
     }
     if (!sent) break;
 
-    // Wait for the assignment, honoring stray control messages from the
-    // previous trial (a late kPut still publishes: we keep the last model).
-    // Bounded: if the master died between accepting the request and
-    // replying (possible across processes), re-request instead of waiting
-    // on a reply that will never come.
-    std::optional<Trial> assignment;
-    bool no_more = false;
-    auto assignment_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!token.cancelled() && !assignment.has_value() && !no_more) {
-      if (std::chrono::steady_clock::now() > assignment_deadline) break;
-      std::optional<Message> msg = bus_->TryReceive(endpoint());
-      if (!msg.has_value()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      if (msg->type == MessageType::kTrial) {
-        Result<Trial> trial = Trial::Decode(msg->str_fields.at("trial"));
-        if (trial.ok()) {
-          assignment = trial.value();
-          double alpha = msg->num_fields.count("alpha")
-                             ? msg->num_fields.at("alpha")
-                             : 1.0;
-          assignment->Set("__alpha", KnobValue(alpha));
-        }
-      } else if (msg->type == MessageType::kNoMoreTrials ||
-                 msg->type == MessageType::kShutdown) {
-        no_more = true;
-      }
-      // kPut/kStop for the finished trial are ignored here; the checkpoint
-      // was already published on finish if it was best.
+    // Wait for the assignment, skipping verdicts on a trial this worker
+    // wrote off. No reply (the master died) means re-request.
+    std::optional<Message> reply;
+    do {
+      reply = AwaitMaster(token);
+    } while (reply.has_value() && reply->type != MessageType::kTrial &&
+             reply->type != MessageType::kNoMoreTrials);
+    if (!reply.has_value()) {
+      if (token.cancelled() || bus_->EndpointClosed(endpoint())) break;
+      continue;
     }
-    if (no_more) break;
-    if (!assignment.has_value()) continue;  // deadline hit: re-request
-
-    double alpha = assignment->GetDouble("__alpha", 1.0);
-    Trial trial = *assignment;
+    if (reply->type == MessageType::kNoMoreTrials) break;
+    Result<Trial> assignment = Trial::Decode(reply->str_fields["trial"]);
+    if (!assignment.ok()) continue;
+    Trial trial = std::move(assignment).value();
+    auto alpha_it = reply->num_fields.find("alpha");
+    double alpha = alpha_it == reply->num_fields.end() ? 1.0 : alpha_it->second;
+    trial.Set("__alpha", KnobValue(alpha));
 
     // Build the trainable and choose initialization (alpha-greedy,
     // §4.2.2): random with probability alpha, else warm start from the
@@ -398,29 +418,24 @@ void StudyWorker::Run(cluster::CancelToken& token) {
     if (!warm_started) {
       Status s = trainable->InitRandom(trial);
       if (!s.ok()) {
-        // Invalid trial (e.g. out-of-domain knob): report chance-level and
-        // move on, so one bad configuration cannot wedge the study.
+        // Invalid trial (e.g. out-of-domain knob): finish it at chance
+        // level without training, so one bad configuration cannot wedge
+        // the study.
         RAFIKI_LOG(WARNING) << "init failed: " << s.ToString();
-        Message fin;
-        fin.type = MessageType::kFinish;
-        fin.from = endpoint();
-        fin.trial_id = trial.id();
-        fin.performance = 0.0;
-        fin.str_fields["trial"] = trial.Encode();
-        fin.num_fields["epochs"] = 0;
-        fin.num_fields["sim_seconds"] = sim_seconds_;
-        bus_->Send(master_endpoint(), std::move(fin));
-        continue;
+        trainable.reset();
       }
     }
 
-    // Train epoch by epoch, reporting and reacting to control messages.
+    // Train epoch by epoch. Each report waits for the master's verdict:
+    // kPut publishes this epoch's parameters, kStop ends the trial. With no
+    // verdict (the master died) the trial is written off: the master counts
+    // it lost when this worker re-requests.
     double trial_best = 0.0;
     int epochs = 0;
-    bool stopped = false;
-    bool put_pending = false;
-    for (; epochs < config_.max_epochs_per_trial && !token.cancelled();) {
+    bool written_off = false;
+    while (trainable != nullptr && epochs < config_.max_epochs_per_trial) {
       Result<double> perf = trainable->TrainEpoch();
+      if (token.cancelled()) break;
       if (!perf.ok()) {
         RAFIKI_LOG(WARNING) << "epoch failed: " << perf.status().ToString();
         break;
@@ -437,34 +452,22 @@ void StudyWorker::Run(cluster::CancelToken& token) {
       report.str_fields["trial"] = trial.Encode();
       report.num_fields["epoch"] = epochs;
       report.num_fields["sim_seconds"] = sim_seconds_;
-      if (!bus_->Send(master_endpoint(), std::move(report)).ok()) {
-        stopped = true;
+      std::optional<Message> verdict;
+      if (bus_->Send(master_endpoint(), std::move(report)).ok()) {
+        verdict = AwaitVerdict(trial.id(), token);
+      }
+      if (!verdict.has_value()) {
+        written_off = true;
         break;
       }
-
-      // Drain control messages; a kStop ends the trial, kPut publishes.
-      // Give the master a brief window to react to the report so the
-      // delta-gated publication (Alg. 2) lands on the right epoch.
-      for (int spin = 0; spin < 50; ++spin) {
-        std::optional<Message> ctl = bus_->TryReceive(endpoint());
-        if (!ctl.has_value()) {
-          if (put_pending || spin > 2) break;
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-          continue;
-        }
-        if (ctl->type == MessageType::kPut) {
-          PublishCheckpoint(*trainable, perf.value());
-          put_pending = true;
-        } else if (ctl->type == MessageType::kStop) {
-          stopped = true;
-          break;
-        } else if (ctl->type == MessageType::kShutdown) {
-          token.Cancel();
-          break;
-        }
+      if (verdict->type == MessageType::kStop) break;
+      if (verdict->type == MessageType::kPut) {
+        PublishCheckpoint(*trainable, perf.value());
       }
-      if (stopped) break;
     }
+    // A killed worker sends nothing more.
+    if (token.cancelled()) break;
+    if (written_off) continue;
 
     Message fin;
     fin.type = MessageType::kFinish;
@@ -475,26 +478,15 @@ void StudyWorker::Run(cluster::CancelToken& token) {
     fin.num_fields["epochs"] = epochs;
     fin.num_fields["warm_started"] = warm_started ? 1.0 : 0.0;
     fin.num_fields["sim_seconds"] = sim_seconds_;
-    bus_->Send(master_endpoint(), std::move(fin));
+    bool finished = bus_->Send(master_endpoint(), std::move(fin)).ok();
 
-    if (!config_.collaborative) {
-      // Algorithm 1: the master replies kPut when this finished trial is
-      // the best; wait briefly for that verdict before requesting again.
-      for (int spin = 0; spin < 50 && !token.cancelled(); ++spin) {
-        std::optional<Message> ctl = bus_->TryReceive(endpoint());
-        if (!ctl.has_value()) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-          continue;
-        }
-        if (ctl->type == MessageType::kPut) {
-          PublishCheckpoint(*trainable, trial_best);
-          break;
-        }
-        if (ctl->type == MessageType::kNoMoreTrials ||
-            ctl->type == MessageType::kShutdown) {
-          bus_->RemoveEndpoint(endpoint());
-          return;
-        }
+    if (finished && !config_.collaborative) {
+      // Algorithm 1: the master answers the finish with kPut when this
+      // trial is the best so far.
+      std::optional<Message> verdict = AwaitVerdict(trial.id(), token);
+      if (verdict.has_value() && verdict->type == MessageType::kPut &&
+          trainable != nullptr) {
+        PublishCheckpoint(*trainable, trial_best);
       }
     }
   }

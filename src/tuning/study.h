@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -98,12 +99,16 @@ struct TrialLedger {
   int64_t completed = 0;
   int64_t lost = 0;
   int64_t active = 0;
+
+  bool operator==(const TrialLedger&) const = default;
 };
 
 /// The master of Algorithms 1 and 2: an event loop over the message bus
 /// that hands trials to workers via the TrialAdvisor, collects reports,
-/// gates checkpoint publication (kPut), triggers early stops (kStop), and
-/// periodically checkpoints its own state for failure recovery.
+/// and answers each one with a verdict: publish the checkpoint (kPut),
+/// early-stop the trial (kStop) or train on (kContinue). Under Algorithm 1
+/// it also answers each kFinish (kPut for the best trial, else kContinue).
+/// It periodically checkpoints its own state for failure recovery.
 class StudyMaster {
  public:
   /// `checkpoint_store` may be null (no master checkpointing).
@@ -118,8 +123,8 @@ class StudyMaster {
   std::string best_scope() const { return "study/" + study_name_ + "/best"; }
 
   /// Runs the event loop until the stop criterion is met and all workers
-  /// have been retired (or the container is killed). Registers/removes its
-  /// own endpoint.
+  /// have been retired, the container is killed, or its mailbox closes.
+  /// Registers/removes its own endpoint.
   void Run(cluster::CancelToken& token);
 
   /// Restores state from the latest master checkpoint, if present; used
@@ -151,6 +156,8 @@ class StudyMaster {
   void HandleRequest(const cluster::Message& msg);
   void HandleReport(const cluster::Message& msg);
   void HandleFinish(const cluster::Message& msg);
+  /// Sends `verdict` for `msg`'s trial back to its sender.
+  void Reply(const cluster::Message& msg, cluster::MessageType verdict);
   void SaveCheckpointIfDue();
   Status SaveCheckpoint() const;
 
@@ -169,18 +176,21 @@ class StudyMaster {
   int64_t num_finished_ = 0;
   double best_p_ = 0.0;  // CoStudy's best_p (Alg. 2 line 1)
   double alpha_;
-  std::set<std::string> active_workers_;
+  /// Workers mid-trial, keyed by endpoint. A report or finish that matches
+  /// no entry is stale: its trial was lost (the worker restarted, or a
+  /// predecessor master issued it).
+  std::map<std::string, WorkerProgress> active_trials_;
   std::set<std::string> retired_workers_;
-  std::map<std::string, WorkerProgress> worker_progress_;
   std::map<std::string, double> worker_sim_seconds_;
   int events_since_checkpoint_ = 0;
   StudyStats stats_;
 };
 
 /// A tuning worker: requests trials, trains them epoch by epoch with the
-/// TrainerFactory, reports performance, and reacts to kPut/kStop control
-/// messages. Stateless across trials (§6.3), so the manager can kill and
-/// restart it freely.
+/// TrainerFactory, reports each epoch and waits for the master's verdict
+/// before training on, so a kPut publishes the epoch that earned it.
+/// Stateless across trials (§6.3), so the manager can kill and restart it
+/// freely: once its CancelToken is cancelled it sends nothing more.
 class StudyWorker {
  public:
   StudyWorker(std::string study_name, std::string worker_name,
@@ -201,6 +211,13 @@ class StudyWorker {
   std::string best_scope() const { return "study/" + study_name_ + "/best"; }
 
   void PublishCheckpoint(trainer::Trainable& trainable, double performance);
+  /// Blocks for the next message from the master. nullopt once the token is
+  /// cancelled (a kShutdown cancels it), this worker's mailbox closes, the
+  /// master's endpoint disappears, or the master stays silent for 10 s.
+  std::optional<cluster::Message> AwaitMaster(cluster::CancelToken& token);
+  /// AwaitMaster, skipping messages that are not a verdict on `trial_id`.
+  std::optional<cluster::Message> AwaitVerdict(int64_t trial_id,
+                                               cluster::CancelToken& token);
 
   std::string study_name_;
   std::string worker_name_;

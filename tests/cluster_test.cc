@@ -17,6 +17,7 @@ TEST(MessageTest, DebugStringIncludesType) {
   m.performance = 0.5;
   EXPECT_NE(m.DebugString().find("kReport"), std::string::npos);
   EXPECT_STREQ(MessageTypeToString(MessageType::kPut), "kPut");
+  EXPECT_STREQ(MessageTypeToString(MessageType::kContinue), "kContinue");
 }
 
 TEST(MessageBusTest, SendReceive) {

@@ -3,7 +3,6 @@
 // TCP-vs-loopback study parity, and the kill-a-worker-mid-trial recovery
 // storm with a balanced trial ledger.
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -17,6 +16,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "gtest/gtest.h"
+#include "parking_trainer.h"
 #include "ps/checkpoint_codec.h"
 #include "ps/parameter_server.h"
 #include "storage/blob_store.h"
@@ -26,8 +26,6 @@
 
 namespace rafiki::tuning {
 namespace {
-
-using namespace std::chrono_literals;
 
 HyperSpace MakeOptimizerSpace() {
   HyperSpace space;
@@ -175,11 +173,12 @@ TEST(BlobStoreTest, PersistsAcrossInstances) {
 StudyConfig ParityConfig() {
   StudyConfig config;
   config.max_trials = 6;
-  config.max_epochs_per_trial = 8;
+  config.max_epochs_per_trial = 20;
   config.collaborative = false;
-  // Early-stop timing is transport-dependent (kStop arrival races the
-  // epoch loop), so exact parity requires disabling it.
-  config.early_stop_patience = 1000000;
+  // The worker waits for the verdict on each report, so a kStop lands on
+  // the epoch that earned it over either transport. With these settings
+  // some trials stop early and some run all 20 epochs.
+  config.early_stop_patience = 2;
   return config;
 }
 
@@ -226,15 +225,21 @@ StudyStats RunOverLoopback(StudyConfig config, uint64_t seed) {
 }
 
 TEST(DistributedStudyTest, TcpStudyMatchesLoopbackBitForBit) {
-  StudyStats tcp = RunOverTcp(ParityConfig(), /*seed=*/11);
-  StudyStats local = RunOverLoopback(ParityConfig(), /*seed=*/11);
+  StudyConfig config = ParityConfig();
+  StudyStats tcp = RunOverTcp(config, /*seed=*/11);
+  StudyStats local = RunOverLoopback(config, /*seed=*/11);
   ASSERT_EQ(tcp.trials.size(), local.trials.size());
   EXPECT_EQ(tcp.best_performance, local.best_performance);  // exact
   EXPECT_EQ(tcp.best_trial.Encode(), local.best_trial.Encode());
+  EXPECT_EQ(tcp.total_epochs, local.total_epochs);
+  int early_stopped = 0;
   for (size_t i = 0; i < tcp.trials.size(); ++i) {
     EXPECT_EQ(tcp.trials[i].trial_id, local.trials[i].trial_id);
     EXPECT_EQ(tcp.trials[i].performance, local.trials[i].performance);
+    EXPECT_EQ(tcp.trials[i].epochs, local.trials[i].epochs);
+    if (tcp.trials[i].epochs < config.max_epochs_per_trial) ++early_stopped;
   }
+  EXPECT_GT(early_stopped, 0) << "the parity input must exercise kStop";
 }
 
 TEST(DistributedStudyTest, CollaborativeTcpStudySharesCheckpoints) {
@@ -282,7 +287,8 @@ TEST(DistributedStudyTest, KillStormBalancesLedger) {
   // The recovery storm: workers over real TCP leaves are repeatedly
   // "killed" mid-trial (their bus torn down, thread cancelled) and
   // replaced, exactly what the process supervisor does with SIGKILL. At
-  // the end the ledger must balance: proposed == completed + lost.
+  // the end the ledger must balance: proposed == completed + lost, with one
+  // lost trial per kill.
   StudyConfig config;
   config.max_trials = 12;
   config.max_epochs_per_trial = 12;
@@ -307,12 +313,15 @@ TEST(DistributedStudyTest, KillStormBalancesLedger) {
     std::unique_ptr<cluster::RpcBus> bus;
     std::unique_ptr<cluster::RemoteParameterStore> store;
     std::unique_ptr<trainer::SurrogateFactory> factory;
+    std::unique_ptr<trainer::ParkingFactory> parking;
     std::unique_ptr<StudyWorker> body;
     std::unique_ptr<cluster::CancelToken> token;
     std::thread thread;
   };
-  auto start_worker = [&](const std::string& name,
-                          uint64_t seed) -> WorkerProc {
+  // A worker that parks in epoch `park_at` (0: never), so a kill lands
+  // mid-trial.
+  auto start_worker = [&](const std::string& name, uint64_t seed,
+                          int park_at) -> WorkerProc {
     WorkerProc p;
     cluster::RpcBusOptions opts;
     opts.port = hub.value()->port();
@@ -323,20 +332,28 @@ TEST(DistributedStudyTest, KillStormBalancesLedger) {
                                                               name);
     p.factory = std::make_unique<trainer::SurrogateFactory>(
         trainer::SurrogateOptions{});
+    p.parking =
+        std::make_unique<trainer::ParkingFactory>(p.factory.get(), park_at);
     p.body = std::make_unique<StudyWorker>("storm", name, config,
-                                           p.factory.get(), p.bus.get(),
+                                           p.parking.get(), p.bus.get(),
                                            p.store.get(), seed);
     p.token = std::make_unique<cluster::CancelToken>();
     StudyWorker* body = p.body.get();
     cluster::CancelToken* token = p.token.get();
-    p.thread = std::thread([body, token] { body->Run(*token); });
+    trainer::ParkingFactory* parking = p.parking.get();
+    p.thread = std::thread([body, token, parking] {
+      body->Run(*token);
+      parking->WorkerDone();
+    });
     return p;
   };
   auto kill_worker = [](WorkerProc& p) {
     // Mirror SIGKILL as closely as threads allow: sever the TCP link
-    // first so in-flight sends fail, then cancel and join the body.
+    // first so in-flight sends fail, then cancel, let the parked epoch
+    // return into the cancelled body, and join it.
     p.bus->Shutdown();
     p.token->Cancel();
+    p.parking->Release();
     p.thread.join();
     // Destroy in dependency order before the slot is reassigned: the
     // store's destructor talks to the bus, so it must go first (plain
@@ -346,18 +363,22 @@ TEST(DistributedStudyTest, KillStormBalancesLedger) {
     p.bus.reset();
   };
 
-  WorkerProc w0 = start_worker("w0", 1001);
-  WorkerProc w1 = start_worker("w1", 1002);
+  // Every trial runs at least patience + 1 epochs, so each w1 parks in the
+  // middle of its first trial.
+  constexpr int kParkAt = 2;
+  constexpr int kMaxKills = 3;
+  WorkerProc w0 = start_worker("w0", 1001, /*park_at=*/0);
+  WorkerProc w1 = start_worker("w1", 1002, kParkAt);
 
+  // Storm: kill w1 each time it is mid-trial and replace it, until the
+  // budget runs out under w1 (it retires without parking). The last
+  // replacement never parks.
   int kills = 0;
-  Rng rng(5);
-  // Storm: kill and replace w1 several times while the study runs.
-  while (master.ledger().completed < config.max_trials / 2 && kills < 4) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        30 + static_cast<int>(rng.Next64() % 50)));
+  while (kills < kMaxKills && w1.parking->WaitParked()) {
     kill_worker(w1);
     ++kills;
-    w1 = start_worker("w1", 2000 + kills);
+    w1 = start_worker("w1", 2000 + kills,
+                      kills < kMaxKills ? kParkAt : 0);
   }
 
   w0.thread.join();
@@ -367,6 +388,7 @@ TEST(DistributedStudyTest, KillStormBalancesLedger) {
 
   TrialLedger ledger = master.ledger();
   EXPECT_GE(kills, 1);
+  EXPECT_EQ(ledger.lost, kills);
   EXPECT_EQ(ledger.active, 0);
   EXPECT_EQ(ledger.proposed, ledger.completed + ledger.lost);
   EXPECT_EQ(ledger.completed,

@@ -219,6 +219,22 @@ TEST(FrameTest, EnvelopeRoundTripsEveryField) {
   EXPECT_EQ(got.str_fields, m.str_fields);
 }
 
+TEST(FrameTest, EnvelopeRoundTripsEveryMessageType) {
+  constexpr auto kLast = static_cast<uint8_t>(MessageType::kContinue);
+  for (uint8_t type = 0; type <= kLast; ++type) {
+    Message m = SampleMessage();
+    m.type = static_cast<MessageType>(type);
+    auto decoded = DecodeEnvelope(EncodeEnvelope("to", m));
+    ASSERT_TRUE(decoded.ok()) << MessageTypeToString(m.type);
+    EXPECT_EQ(decoded.value().second.type, m.type);
+  }
+  // The type byte follows the destination (u32 length + "to").
+  std::string payload = EncodeEnvelope("to", SampleMessage());
+  payload[4 + 2] = static_cast<char>(kLast + 1);
+  EXPECT_EQ(DecodeEnvelope(payload).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(FrameTest, EnvelopeRejectsTruncationAndTrailingGarbage) {
   std::string payload = EncodeEnvelope("to", SampleMessage());
   for (size_t cut = 0; cut < payload.size(); ++cut) {

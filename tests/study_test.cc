@@ -1,4 +1,6 @@
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "cluster/message_bus.h"
 #include "gtest/gtest.h"
@@ -146,6 +148,55 @@ TEST(StudyTest, MasterCheckpointRoundTrips) {
   ASSERT_TRUE(recovered.RestoreFromCheckpoint().ok());
   EXPECT_DOUBLE_EQ(recovered.stats().best_performance,
                    stats.best_performance);
+}
+
+/// A master that is slow to decide: every Collect takes about 2 ms.
+class SlowCollectAdvisor : public TrialAdvisor {
+ public:
+  explicit SlowCollectAdvisor(TrialAdvisor* inner) : inner_(inner) {}
+  std::optional<Trial> Next(const std::string& worker) override {
+    return inner_->Next(worker);
+  }
+  void Collect(const std::string& worker, double performance,
+               const Trial& trial) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    inner_->Collect(worker, performance, trial);
+  }
+  bool IsBest(const std::string& worker) const override {
+    return inner_->IsBest(worker);
+  }
+  std::optional<TrialResult> BestTrial() const override {
+    return inner_->BestTrial();
+  }
+  std::vector<TrialResult> Results() const override {
+    return inner_->Results();
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  TrialAdvisor* inner_;
+};
+
+TEST(StudyTest, SlowMasterStillPublishesTheEpochThatEarnedKPut) {
+  // With delta = 0 every new best report earns a kPut. The worker waits
+  // for each verdict, so the last kPut publishes the best epoch's
+  // parameters even when the master takes milliseconds to answer.
+  HyperSpace space = MakeOptimizerSpace();
+  RandomSearchAdvisor random(&space, 4, /*seed=*/8);
+  SlowCollectAdvisor advisor(&random);
+  trainer::SurrogateFactory factory(trainer::SurrogateOptions{});
+  cluster::MessageBus bus;
+  ps::ParameterServer ps;
+  StudyConfig config = FastConfig(true);
+  config.max_trials = 4;
+  config.max_epochs_per_trial = 6;
+  config.delta = 0.0;
+  StudyStats stats = RunStudy("slow", config, &advisor, &factory, &bus, &ps,
+                              nullptr, /*num_workers=*/1, 7);
+  ASSERT_EQ(stats.trials.size(), 4u);
+  auto best = ps.GetModel("study/slow/best");
+  ASSERT_TRUE(best.ok()) << best.status().ToString();
+  EXPECT_EQ(best->meta.accuracy, stats.best_performance);
 }
 
 TEST(StudyTest, CoStudyBeatsStudyOnSurrogate) {
