@@ -705,8 +705,9 @@ void RunServeClosedLoop(benchmark::State& state, bool rl_policy,
   opts.num_workers = 2;
   opts.max_inflight = 1024;
   // All 256 connections SYN at once; the default backlog of 128 drops half
-  // the handshakes whenever the acceptor is briefly starved, and the
-  // 1s-later SYN retransmit lands outside the measurement window.
+  // the handshakes whenever worker 0's loop is briefly busy and accepts
+  // late, and the 1s-later SYN retransmit lands outside the measurement
+  // window.
   opts.listen_backlog = 1024;
   net::HttpServer server(api::MakeGatewayAsyncHttpHandler(&gateway), opts);
   if (!server.Start().ok()) {

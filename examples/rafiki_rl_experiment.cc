@@ -47,7 +47,7 @@ struct Flags {
   int64_t dim = 16;          // input feature dim
   int64_t hidden = 2048;     // hidden width (drives c(m, b))
   int64_t models = 1;        // 1 = mask collapse (§7.2.1); up to 3
-  int64_t connections = 8;   // open-loop client threads
+  int64_t connections = 8;   // open-loop client connections
   uint64_t seed = 7;
 };
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke over real TCP: boot rafiki_serve, point rafiki_loadgen at
-# the auto-deployed inference job's metrics route, then storm the query
-# route with 256 closed-loop connections against 2 event loops — failing on
-# any transport error or unexpected status — and finally SIGTERM the
-# server, require a clean drain (the "served requests=..." accounting line)
-# and an observed in-flight peak above the event-loop count (proof the
-# continuation path, not the loops, carried the concurrency).
+# the auto-deployed inference job's metrics route (a short sine, then a
+# constant 5000 req/s over 8 connections, paced by the loadgen's reactor),
+# then storm the query route with 256 closed-loop connections against 2
+# event loops — failing on any transport error or unexpected status — and
+# finally SIGTERM the server, require a clean drain (the "served
+# requests=..." accounting line) and an observed in-flight peak above the
+# event-loop count (proof the continuation path, not the loops, carried the
+# concurrency).
 #
 # Usage: scripts/smoke_serve.sh [build-dir] [port]
 set -euo pipefail
@@ -66,6 +68,11 @@ echo "smoke: server pid=$server_pid port=$port infer_job=$infer_job"
 
 "$loadgen" --port="$port" --target="/jobs/$infer_job/metrics" \
   --duration=2 --rate=300 --period=2 --connections=2 --fail-on-error
+
+# Open loop above the rates the tests reach: the loadgen's one reactor
+# paces 5000 arrivals/s over 8 connections against the live server.
+"$loadgen" --port="$port" --target="/jobs/$infer_job/metrics" \
+  --duration=2 --rate=5000 --period=0 --connections=8 --fail-on-error
 
 # High-concurrency storm: 256 closed-loop connections POSTing real queries
 # through the continuation path, on 2 event loops.

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <limits>
 
 #include "common/logging.h"
@@ -19,6 +20,10 @@ namespace {
 /// (gen << 32) | fd with fd a non-negative int, so the top fd bit pattern
 /// 0xffffffff can never collide.
 constexpr uint64_t kWakeToken = ~0ull;
+
+/// Waits at least this long are treated as unbounded (a timespec of that
+/// size would still fit, but nobody needs a 30-year timeout).
+constexpr double kMaxFiniteWaitSeconds = 1e9;
 
 uint64_t MakeToken(uint32_t gen, int fd) {
   return (static_cast<uint64_t>(gen) << 32) | static_cast<uint32_t>(fd);
@@ -173,40 +178,45 @@ int EventLoop::PollOnce(double max_wait_seconds) {
   owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
 
   // Sleep exactly until the next timer deadline (or the caller's cap) —
-  // never a safety tick.
-  int timeout_ms = -1;
+  // never a safety tick. The timeout is a timespec, so a sub-millisecond
+  // wait is not rounded up to a whole millisecond.
   double wait = max_wait_seconds;
   double next = wheel_.NextDeadline();
   if (std::isfinite(next)) {
-    wait = std::min(wait, std::max(0.0, next - clock_()));
+    wait = std::min(wait, next - clock_());
   }
   if (has_posted_.load(std::memory_order_acquire) ||
       stop_.load(std::memory_order_acquire)) {
     wait = 0.0;
   }
-  if (std::isfinite(wait)) {
-    double ms = std::ceil(wait * 1e3);
-    timeout_ms = ms >= 2147483647.0 ? 2147483646 : static_cast<int>(ms);
+  timespec timeout{};
+  timespec* timeout_ptr = nullptr;  // no deadline: block until an event
+  if (wait < kMaxFiniteWaitSeconds) {
+    wait = std::max(wait, 0.0);
+    timeout.tv_sec = static_cast<time_t>(wait);
+    timeout.tv_nsec = static_cast<long>(
+        (wait - static_cast<double>(timeout.tv_sec)) * 1e9);
+    timeout_ptr = &timeout;
   }
 
-  int n = ::epoll_wait(epoll_fd_, events_.data(), kEpollBatch, timeout_ms);
+  int n = ::epoll_pwait2(epoll_fd_, events_.data(), kEpollBatch, timeout_ptr,
+                         nullptr);
   if (n < 0) {
     if (errno != EINTR) {
-      RAFIKI_LOG(ERROR) << "epoll_wait: " << std::strerror(errno);
+      RAFIKI_LOG(ERROR) << "epoll_pwait2: " << std::strerror(errno);
     }
     n = 0;
   }
 
-  // Drain the wake eventfd before the begin hook reads its mailboxes. A
-  // Wake() from a producer that hands off after the hook has looked then
-  // stays pending for the next wait instead of being consumed here.
+  // Drain the wake eventfd before the mailbox. A Post() that lands after
+  // DrainPosted has swapped the mailbox keeps its eventfd tick for the next
+  // wait instead of having it consumed here.
   for (int i = 0; i < n; ++i) {
     if (events_[i].data.u64 != kWakeToken) continue;
     uint64_t drain;
     while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
     }
   }
-  if (tick_begin_hook_) tick_begin_hook_();
   DrainPosted();
 
   int dispatched = 0;

@@ -24,15 +24,17 @@ namespace rafiki::net {
 ///     modify/remove safe during dispatch via a per-slot generation tag);
 ///   * a hierarchical TimerWheel, so every deadline in the process fires
 ///     at its exact tick instead of being noticed by a safety poll;
-///   * a cross-thread task mailbox (eventfd wake + scratch-swap vectors,
-///     the PR 6 pattern), so other threads Post() work instead of sharing
-///     state;
-///   * tick hooks: the begin hook runs right after wakeup, the end hook
-///     runs after fd dispatch and timer expiry — clients park their
-///     end-of-tick gather-flush there.
+///   * a cross-thread task mailbox (eventfd wake + scratch-swap vectors),
+///     so other threads Post() work instead of sharing state;
+///   * a tick-end hook that runs after fd dispatch and timer expiry —
+///     clients park their end-of-tick gather-flush there.
+///
+/// Each wait is an epoll_pwait2 with a nanosecond timeout, so a caller's
+/// sub-millisecond cap (the load generator's next scheduled arrival) is
+/// honoured rather than rounded up to the next millisecond.
 ///
 /// Threading: one thread owns the loop (the one inside Run(), or whoever
-/// calls PollOnce()). Watchers, timers, and hooks are owner-thread-only.
+/// calls PollOnce()). Watchers, timers, and the hook are owner-thread-only.
 /// Post(), PostDelayed(), Wake(), and Stop() are safe from any thread.
 ///
 /// The steady-state tick is allocation-free: the event array, mailbox
@@ -91,7 +93,7 @@ class EventLoop {
   // --- cross-thread ---
 
   /// Enqueues `task` to run on the loop thread at the start of its next
-  /// tick (after the begin hook, before fd dispatch) and wakes the loop.
+  /// tick (before fd dispatch) and wakes the loop.
   void Post(Task task);
   /// Post() + RunAfter() from any thread: the delay is measured from when
   /// the loop thread processes the post, i.e. one wakeup after now.
@@ -101,9 +103,8 @@ class EventLoop {
   /// Makes Run() return after finishing the current tick.
   void Stop();
 
-  // --- hooks (owner thread; set before the loop runs) ---
+  // --- hook (owner thread; set before the loop runs) ---
 
-  void SetTickBeginHook(Task hook) { tick_begin_hook_ = std::move(hook); }
   void SetTickEndHook(Task hook) { tick_end_hook_ = std::move(hook); }
 
   // --- running ---
@@ -161,7 +162,6 @@ class EventLoop {
   std::vector<Task> posted_scratch_;  // swap target: drain without realloc
   std::atomic<bool> has_posted_{false};
 
-  Task tick_begin_hook_;
   Task tick_end_hook_;
 
   std::atomic<bool> stop_{false};

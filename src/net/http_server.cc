@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -214,14 +213,24 @@ Status HttpServer::Start() {
     w->loop = std::make_unique<EventLoop>();
     workers_.push_back(std::move(w));
   }
+  // Worker 0 accepts. Registered before its thread starts, which is what
+  // orders this AddFd before the loop's first tick.
+  Status watched = workers_[0]->loop->AddFd(
+      listener_.fd(), /*want_read=*/true, /*want_write=*/false,
+      [this](uint32_t) { OnAcceptable(); });
+  if (!watched.ok()) {
+    workers_.clear();
+    listener_.Close();
+    return watched;
+  }
 
   // Fresh completion core: writers from a previous (force-stopped) run
   // keep their old core, whose server pointer is already null.
   core_ = std::make_shared<AsyncCore>();
   core_->server = this;
 
-  phase_ = Phase::kRunning;
-  stop_accepting_ = false;
+  draining_ = false;
+  next_worker_ = 0;
   inflight_ = 0;
   async_pending_ = 0;
   running_ = true;
@@ -229,41 +238,22 @@ Status HttpServer::Start() {
     workers_[static_cast<size_t>(i)]->thread =
         std::thread([this, i] { WorkerLoop(i); });
   }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
 
 void HttpServer::Stop() {
   if (!running_) return;
 
-  // 1. Stop accepting; close the listener so clients see refusals.
-  stop_accepting_ = true;
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.Close();
-
-  // 2. Drain: new requests are answered 503, workers run until every
-  //    connection has neither a pending response (parked elsewhere) nor
-  //    unwritten output. Completions keep arriving by Post during this
-  //    phase.
-  phase_ = Phase::kDraining;
+  // 1. Drain. Each worker sees the flag at the end of its next tick:
+  //    worker 0 closes the listener, so clients see refusals; new requests
+  //    are answered 503; a worker leaves once none of its connections has
+  //    a pending response (parked elsewhere) or unwritten output, or when
+  //    its drain timer fires. Completions keep arriving by Post meanwhile.
+  draining_ = true;
   for (auto& w : workers_) w->loop->Wake();
-  double deadline = Now() + opts_.drain_timeout_seconds;
-  for (;;) {
-    bool all_exited = true;
-    for (auto& w : workers_) all_exited = all_exited && w->exited.load();
-    if (all_exited) break;
-    if (Now() >= deadline) {
-      phase_ = Phase::kForceStop;
-      for (auto& w : workers_) w->loop->Wake();
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  for (auto& w : workers_) w->thread.join();
 
-  // 3. Cut the completion core: ResponseWriters still alive (continuations
+  // 2. Cut the completion core: ResponseWriters still alive (continuations
   //    parked in other subsystems) now delete their slot instead of posting
   //    to a dead worker.
   {
@@ -271,7 +261,7 @@ void HttpServer::Stop() {
     core_->server = nullptr;
   }
 
-  // 4. Nothing posts any more. Run what was posted to loops that had
+  // 3. Nothing posts any more. Run what was posted to loops that had
   //    already exited (new fds, completions for closed connections), close
   //    what that opened, and free the arenas.
   for (auto& w : workers_) {
@@ -301,25 +291,21 @@ HttpServerStats HttpServer::stats() const {
   return s;
 }
 
-void HttpServer::AcceptLoop() {
-  size_t next_worker = 0;
-  while (!stop_accepting_.load()) {
-    pollfd p{listener_.fd(), POLLIN, 0};
-    int rc = ::poll(&p, 1, /*timeout_ms=*/50);
-    if (rc <= 0) continue;
-    for (;;) {
-      int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_NONBLOCK);
-      if (fd < 0) break;  // EAGAIN / transient error: back to poll
-      (void)SetNoDelay(fd);
-      if (opts_.send_buffer_bytes > 0) {
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.send_buffer_bytes,
-                     sizeof(opts_.send_buffer_bytes));
-      }
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      Worker& w = *workers_[next_worker];
-      next_worker = (next_worker + 1) % workers_.size();
-      w.loop->Post([this, &w, fd] { AddConnection(w, fd); });
+void HttpServer::OnAcceptable() {
+  // The listener is level-triggered: whatever races in after EAGAIN (or
+  // stays queued after a transient accept error) is reported next tick.
+  for (;;) {
+    int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) return;
+    (void)SetNoDelay(fd);
+    if (opts_.send_buffer_bytes > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.send_buffer_bytes,
+                   sizeof(opts_.send_buffer_bytes));
     }
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    Worker& w = *workers_[next_worker_];
+    next_worker_ = (next_worker_ + 1) % workers_.size();
+    w.loop->Post([this, &w, fd] { AddConnection(w, fd); });
   }
 }
 
@@ -554,7 +540,7 @@ void HttpServer::TryParse(Worker& w, Connection& c) {
     // this connection; stop parsing so pipelined bytes are not consumed.
     if (!keep_alive) c.parse_done = true;
 
-    if (phase_.load() != Phase::kRunning) {
+    if (draining_.load()) {
       rejected_draining_.fetch_add(1, std::memory_order_relaxed);
       c.parse_done = true;
       FillOverload(slot, "server shutting down");
@@ -727,26 +713,30 @@ void HttpServer::WorkerLoop(int index) {
   Worker& w = *workers_[static_cast<size_t>(index)];
   EventLoop& loop = *w.loop;
   // New fds and off-thread completions arrive as posted tasks, which run
-  // at the top of every tick, before fd dispatch. Connection events arrive
-  // through the per-fd callbacks registered in AddConnection; idle
-  // deadlines through wheel timers. No safety timeout remains: every
+  // at the top of every tick, before fd dispatch. Connection events (and,
+  // on worker 0, the listener's) arrive through per-fd callbacks; idle and
+  // drain deadlines through wheel timers. No safety timeout remains: every
   // wakeup is an event, a posted task, or an exact timer deadline.
   loop.SetTickEndHook([this, &w, &loop] {
     // Handlers that completed inline during this tick: file their
     // responses before the tick's single gather flush below.
     DrainInlineCompletions(w);
     FlushPendingWrites(w);
-    Phase phase = phase_.load();
-    if (phase == Phase::kRunning) return;
-    if (phase == Phase::kForceStop) {
-      loop.Stop();
-      return;
+    if (!draining_.load()) return;
+    if (!w.drain_armed) {
+      w.drain_armed = true;
+      if (w.index == 0) {
+        (void)loop.RemoveFd(listener_.fd());
+        listener_.Close();
+      }
+      // Bounds the drain: requests still in flight when it fires are
+      // dropped with their connections.
+      loop.RunAfter(opts_.drain_timeout_seconds, [&loop] { loop.Stop(); });
     }
-    // Draining: leave once nothing on this worker is mid-request (which
-    // includes async responses not yet completed) or mid-write. Idle
-    // keep-alive connections are simply closed. Completions and phase
-    // flips both wake the loop, so this re-checks exactly when the answer
-    // can change.
+    // Leave once nothing on this worker is mid-request (which includes
+    // async responses not yet completed) or mid-write. Idle keep-alive
+    // connections are simply closed. Completions and Stop() both wake the
+    // loop, so this re-checks exactly when the answer can change.
     bool busy = false;
     for (auto& [id, conn] : w.conns) busy = busy || conn->busy();
     if (!busy) loop.Stop();
@@ -755,7 +745,6 @@ void HttpServer::WorkerLoop(int index) {
   // The tick-end hook drained every inline completion before it stopped
   // the loop.
   CloseAllConnections(w);
-  w.exited.store(true);
 }
 
 }  // namespace rafiki::net

@@ -80,8 +80,9 @@ struct HttpServerStats {
 
 /// From-scratch epoll HTTP/1.1 server (the Figure 2/18 front door):
 ///
-///   * one acceptor thread accepts and hands sockets round-robin to
-///     `num_workers` event-loop threads;
+///   * `num_workers` event-loop threads and no other: worker 0's loop also
+///     watches the listener and hands accepted sockets round-robin to the
+///     workers (itself included);
 ///   * each worker owns its connections exclusively — nonblocking reads
 ///     into a per-connection buffer, an incremental HttpParser, and a
 ///     per-connection scatter-gather output queue flushed via EPOLLOUT on
@@ -94,9 +95,10 @@ struct HttpServerStats {
 ///   * keep-alive and pipelining: up to `max_pipeline` requests per
 ///     connection may be in flight at once; completions arriving out of
 ///     order are buffered and written strictly in request order;
-///   * Stop() drains: accepting ends, new requests get 503, in-flight
-///     requests — including async responses whose handler already
+///   * Stop() drains: worker 0 closes the listener, new requests get 503,
+///     in-flight requests — including async responses whose handler already
 ///     returned — are completed and written out, then connections close.
+///     Each worker leaves once it is idle or its drain timer fires.
 ///
 /// Data-plane memory model: every request rides in a pooled ResponseSlot
 /// (request + response + serialized header block). Slots are recycled
@@ -161,11 +163,13 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and starts the acceptor and worker threads.
+  /// Binds, listens, and starts the `num_workers` event-loop threads.
   Status Start();
 
   /// Graceful drain-then-stop; idempotent. Safe to call from any thread
-  /// except a handler.
+  /// except a handler. Returns once every worker has left its loop: at
+  /// once for idle workers, else when their in-flight requests are written
+  /// out or `drain_timeout_seconds` has passed.
   void Stop();
 
   /// Bound port (valid after Start()).
@@ -200,8 +204,6 @@ class HttpServer {
   };
 
  private:
-  enum class Phase { kRunning, kDraining, kForceStop };
-
   /// A response being written: `off` is the byte offset already sent of
   /// head + body viewed as one contiguous stream.
   struct OutItem {
@@ -256,11 +258,11 @@ class HttpServer {
 
   struct Worker {
     int index = 0;
-    /// The worker's reactor: fd watchers for its connections, the timer
-    /// wheel carrying their idle deadlines, and the Post() mailbox through
-    /// which the acceptor hands over new fds and other threads hand back
-    /// completions. The gather flush and the drain-phase check run as the
-    /// tick-end hook.
+    /// The worker's reactor: fd watchers for its connections (and, on
+    /// worker 0, the listener), the timer wheel carrying their idle and
+    /// drain deadlines, and the Post() mailbox through which worker 0 hands
+    /// over new fds and other threads hand back completions. The gather
+    /// flush and the drain-phase check run as the tick-end hook.
     std::unique_ptr<EventLoop> loop;
     std::thread thread;
     /// Everything below is owned exclusively by the worker thread.
@@ -273,7 +275,9 @@ class HttpServer {
     /// Connections (by id) with staged responses awaiting the end-of-tick
     /// gather flush.
     std::vector<uint64_t> flush_queue;
-    std::atomic<bool> exited{false};
+    /// Set on the first tick that sees the drain: the listener (worker 0)
+    /// is closed and the drain timer armed.
+    bool drain_armed = false;
   };
 
  public:
@@ -302,7 +306,9 @@ class HttpServer {
   };
 
  private:
-  void AcceptLoop();
+  /// Listener readiness on worker 0's loop: accepts until EAGAIN and posts
+  /// each socket to the next worker in round-robin order.
+  void OnAcceptable();
   void WorkerLoop(int index);
 
   /// Applies one completed response: files it in its connection's in-order
@@ -353,10 +359,12 @@ class HttpServer {
   std::shared_ptr<AsyncCore> core_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::thread acceptor_;
+  /// Round-robin cursor over workers_; touched only by worker 0's loop.
+  size_t next_worker_ = 0;
 
-  std::atomic<Phase> phase_{Phase::kRunning};
-  std::atomic<bool> stop_accepting_{false};
+  /// Set by Stop(): new requests are answered 503 and workers leave once
+  /// idle.
+  std::atomic<bool> draining_{false};
   std::atomic<size_t> inflight_{0};
   std::atomic<uint64_t> inflight_peak_{0};
   std::atomic<int64_t> async_pending_{0};

@@ -2,224 +2,148 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
+#include <limits>
+#include <optional>
 
 #include "common/logging.h"
+#include "common/ring_deque.h"
 #include "common/string_util.h"
 #include "net/event_loop.h"
 #include "net/http.h"
-#include "net/http_client.h"
 #include "net/socket.h"
 #include "serving/sine_arrival.h"
 
 namespace rafiki::net {
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-/// Shared run state: the scheduler produces arrival timestamps, the
-/// connection workers consume them. Everything below `mu` is guarded.
-struct RunState {
-  const LoadGenOptions* opts = nullptr;
-  SteadyClock::time_point epoch;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<double> arrivals;  // scheduled arrival times, seconds
-  bool done_scheduling = false;
-  int64_t dropped_backlog = 0;
-
-  double Now() const {
-    return std::chrono::duration<double>(SteadyClock::now() - epoch).count();
-  }
-};
-
-/// EventLoop options slaved to the run's job clock, so wheel deadlines
-/// (`RunAt(hard_stop)`, the pacer's periodic tick) are exact in the same
-/// timebase the arrival schedule and latency accounting use.
-EventLoop::Options LoopOptions(const RunState& state) {
-  EventLoop::Options options;
-  options.clock = [&state] { return state.Now(); };
-  return options;
-}
-
-/// Per-worker accumulator; merged after the join so workers never contend.
-struct WorkerTally {
-  std::vector<LoadGenWindow> windows;
-  LatencyHistogram latency;
-  int64_t completed = 0;
-  int64_t overdue = 0;
-  int64_t rejected = 0;
-  int64_t deadline = 0;
-  int64_t errors = 0;
-
-  explicit WorkerTally(size_t num_windows) : windows(num_windows) {}
-
-  LoadGenWindow& WindowAt(double t, double width) {
-    auto i = static_cast<size_t>(std::max(t, 0.0) / width);
-    return windows[std::min(i, windows.size() - 1)];
-  }
-};
-
-/// Above this open-loop target rate the pacer stops trusting the OS sleep
-/// granularity: a futex wakeup carries ~50-100us of jitter, which at 50k+
-/// req/s is several inter-arrival gaps and smears the schedule the
-/// coordinated-omission-free accounting depends on.
-constexpr double kSpinPacingRate = 50e3;
-/// How much of each wait is burned by busy-spinning instead of sleeping
-/// when spin pacing is on: long waits still sleep down to this margin.
-constexpr double kSpinSlackSeconds = 200e-6;
-
-/// Waits until job-clock `deadline`. Plain sleep normally; with `spin`
-/// (target rate >= kSpinPacingRate) the last kSpinSlackSeconds are
-/// busy-spun so the fire lands within a few microseconds of the schedule.
-/// Latencies are still measured from the *scheduled* time, so pacing mode
-/// changes precision, never the accounting.
-void PaceUntil(const RunState& state, double deadline, bool spin) {
-  double wait = deadline - state.Now();
-  if (wait <= 0) return;
-  if (!spin) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(wait));
-    return;
-  }
-  if (wait > kSpinSlackSeconds) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(wait - kSpinSlackSeconds));
-  }
-  while (state.Now() < deadline) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
-}
-
-void RecordResponse(const LoadGenOptions& opts, WorkerTally& tally,
-                    double arrival, double latency, int status, bool ok) {
-  LoadGenWindow& w = tally.WindowAt(arrival, opts.window_seconds);
-  // 503 (shed) and 504 (queue deadline) are well-formed server answers
-  // under load, not transport errors; they are counted separately.
-  if (!ok || (status / 100 != 2 && status != 503 && status != 504)) {
-    ++tally.errors;
-    ++w.errors;
-    return;
-  }
-  ++tally.completed;
-  ++w.completed;
-  tally.latency.Add(latency);
-  if (latency > opts.tau) {
-    ++tally.overdue;
-    ++w.overdue;
-  }
-  if (status == 503) {
-    ++tally.rejected;
-    ++w.rejected;
-  }
-  if (status == 504) {
-    ++tally.deadline;
-    ++w.deadline;
-  }
-}
-
-/// Open-loop worker: take the earliest scheduled arrival, wait for its
-/// timestamp, fire, measure from the *scheduled* time (coordinated
-/// omission is impossible by construction).
-void OpenLoopWorker(RunState& state, WorkerTally& tally) {
-  const LoadGenOptions& opts = *state.opts;
-  const bool spin = opts.target_rate >= kSpinPacingRate;
-  HttpClient client(opts.host, opts.port, opts.timeout_seconds);
-  for (;;) {
-    double arrival;
-    {
-      std::unique_lock<std::mutex> lock(state.mu);
-      state.cv.wait(lock, [&] {
-        return state.done_scheduling || !state.arrivals.empty();
-      });
-      if (state.arrivals.empty()) return;  // done_scheduling && drained
-      arrival = state.arrivals.front();
-      state.arrivals.pop_front();
-    }
-    PaceUntil(state, arrival, spin);
-    // RequestView reuses the client's wire and body buffers: the measuring
-    // loop itself allocates nothing per request.
-    Result<int> status = client.RequestView(opts.method, opts.target,
-                                            opts.body);
-    double latency = state.Now() - arrival;
-    RecordResponse(opts, tally, arrival, latency, status.ok() ? *status : 0,
-                   status.ok());
-  }
-}
-
-/// Closed-loop driver: one reactor thread multiplexes every connection,
-/// keeping exactly one request outstanding per connection and firing the
-/// next the instant a response completes. The request's wire bytes are
-/// serialized once up front and replayed verbatim, and each connection
-/// reuses one response parser, so the generator does no per-request
-/// formatting or heap work — unlike a thread-per-connection client, whose
-/// context switches bottleneck the measurement on few-core machines.
-class ClosedLoopMux {
+/// The open-loop arrival schedule: walks the run in 5 ms ticks, asks the
+/// sine process (Equations 8-9 + Gaussian noise) or the constant rate how
+/// many requests arrive in each tick, and spreads them uniformly inside it.
+/// A tick is generated only once the previous one is used up, so the
+/// schedule holds one tick of arrivals at a time.
+class ArrivalSchedule {
  public:
-  ClosedLoopMux(RunState& state, WorkerTally& tally)
-      : state_(state),
-        opts_(*state.opts),
-        tally_(tally),
-        depth_(static_cast<uint32_t>(std::max(opts_.pipeline, 1))),
-        loop_(LoopOptions(state)) {}
+  explicit ArrivalSchedule(const LoadGenOptions& opts)
+      : opts_(opts),
+        sine_(opts.target_rate,
+              opts.sine_period > 0 ? opts.sine_period : opts.duration_seconds,
+              opts.seed, opts.sine_period > 0 ? opts.noise_stddev : 0.0),
+        spread_(Rng::Mix(opts.seed + 17)) {}
 
-  void Run() {
+  /// The earliest arrival not yet taken; +infinity once the run's ticks are
+  /// exhausted.
+  double Next() {
+    while (next_ == times_.size()) {
+      if (t_ >= opts_.duration_seconds) return kInfinity;
+      EmitTick(std::min(kTickSeconds, opts_.duration_seconds - t_));
+    }
+    return times_[next_];
+  }
+  void Pop() { ++next_; }
+
+ private:
+  static constexpr double kTickSeconds = 0.005;
+
+  /// Books the arrivals of [t, t + dt) and advances t.
+  void EmitTick(double dt) {
+    int64_t n;
+    if (opts_.sine_period > 0) {
+      n = sine_.Arrivals(t_, dt);
+    } else {
+      constant_residual_ += opts_.target_rate * dt;
+      n = static_cast<int64_t>(constant_residual_);
+      constant_residual_ -= static_cast<double>(n);
+    }
+    times_.clear();
+    next_ = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      times_.push_back(t_ + spread_.Uniform(0.0, dt));
+    }
+    std::sort(times_.begin(), times_.end());
+    t_ += dt;
+  }
+
+  const LoadGenOptions& opts_;
+  serving::SineArrivalProcess sine_;
+  Rng spread_;
+  double constant_residual_ = 0.0;
+  double t_ = 0.0;
+  std::vector<double> times_;  // the current tick's arrivals, sorted
+  size_t next_ = 0;
+};
+
+/// Drives every connection of a run from one reactor on the calling thread.
+/// A connection has room while it carries fewer than `pipeline` requests.
+/// Closed loop fills that room and refills it on each answer. Open loop
+/// sends each due arrival to a connection with room (round-robin);
+/// otherwise the arrival waits in the backlog, and past `max_backlog` it is
+/// dropped. The reactor's wait is capped by the next scheduled arrival.
+///
+/// The request's wire bytes are serialized once and replayed verbatim, and
+/// each connection reuses one response parser, so the generator does no
+/// per-request formatting or heap work.
+class LoadGenMux {
+ public:
+  LoadGenMux(const LoadGenOptions& opts, LoadGenReport& report)
+      : opts_(opts),
+        report_(report),
+        depth_(static_cast<uint32_t>(std::max(opts.pipeline, 1))) {
+    // Closed loop has no schedule, and its target_rate need not be valid.
+    if (opts.open_loop) schedule_.emplace(opts);
+  }
+
+  /// Runs to completion and returns the elapsed job-clock time.
+  double Run() {
     SerializeRequestTo(opts_.method, opts_.target,
                        opts_.host + ":" + std::to_string(opts_.port),
                        opts_.body, /*keep_alive=*/true, &wire_);
     conns_.resize(static_cast<size_t>(opts_.connections));
-    for (size_t i = 0; i < conns_.size(); ++i) {
-      Conn& c = conns_[i];
-      c.starts.assign(depth_, 0.0);
-      if (!Connect(i)) {
-        c.dead = true;
-        continue;
+    for (Conn& c : conns_) c.starts.assign(depth_, 0.0);
+    if (!opts_.open_loop) {
+      // A closed-loop connection that cannot connect stays out of the run.
+      for (size_t i = 0; i < conns_.size(); ++i) {
+        if (Connect(i)) Fill(i);
       }
-      for (uint32_t d = 0; d < depth_; ++d) QueueRequest(i);
-      ContinueSend(i);
     }
-    // The loop sleeps until socket activity and exits the tick everything
-    // drains; the wheel timer bounds a run whose last responses never
-    // arrive (the old code burned a 20 ms safety poll on this).
+    // Bounds a run whose last answers never arrive.
     const double hard_stop =
         opts_.duration_seconds +
         (opts_.timeout_seconds > 0 ? opts_.timeout_seconds : 5.0);
-    loop_.RunAt(hard_stop, [this] { loop_.Stop(); });
-    loop_.SetTickEndHook([this] {
-      if (inflight_ <= 0) loop_.Stop();
-    });
-    if (inflight_ > 0) loop_.Run();
-    // Requests still outstanding at the hard stop never got an answer:
-    // record them as errors so every arrival stays accounted for.
-    double now = state_.Now();
-    for (Conn& c : conns_) {
-      while (c.done_seq != c.issue_seq) {
-        RecordResponse(opts_, tally_, c.starts[c.done_seq % depth_],
-                       now - c.starts[c.done_seq % depth_], 0, false);
-        ++c.done_seq;
-        --inflight_;
+    for (;;) {
+      double now = loop_.Now();
+      double next_arrival = opts_.open_loop ? Release(now) : kInfinity;
+      if (inflight_ == 0 && backlog_.empty() && next_arrival == kInfinity) {
+        break;
       }
+      if (now >= hard_stop) break;
+      loop_.PollOnce(std::min(next_arrival, hard_stop) - now);
     }
+    // Whatever is still outstanding never got an answer: record it as an
+    // error so every arrival stays accounted for.
+    for (size_t i = 0; i < conns_.size(); ++i) {
+      while (conns_[i].carried() > 0) Complete(i, 0, false);
+    }
+    double now = loop_.Now();
+    for (; !backlog_.empty(); backlog_.pop_front()) {
+      Record(backlog_.front(), now - backlog_.front(), 0, false);
+    }
+    return now;
   }
 
  private:
   struct Conn {
+    /// Valid exactly while connected and registered with the reactor.
     Socket sock;
     HttpResponseParser parser;
-    /// Issue timestamps of in-flight requests, indexed by seq % depth.
-    /// HTTP pipelining answers in order, so done_seq walks behind
-    /// issue_seq and issue_seq - done_seq <= depth always holds.
+    /// Start timestamps of carried requests, indexed by seq % depth. HTTP
+    /// pipelining answers in order, so done_seq walks behind issue_seq and
+    /// issue_seq - done_seq <= depth always holds.
     std::vector<double> starts;
     uint32_t issue_seq = 0;
     uint32_t done_seq = 0;
@@ -228,31 +152,119 @@ class ClosedLoopMux {
     uint32_t to_send = 0;
     size_t send_off = 0;
     bool want_write = false;
-    bool dead = false;
+
+    uint32_t carried() const { return issue_seq - done_seq; }
   };
+
+  LoadGenWindow& WindowAt(double t) {
+    auto i = static_cast<size_t>(std::max(t, 0.0) / opts_.window_seconds);
+    return report_.windows[std::min(i, report_.windows.size() - 1)];
+  }
+
+  void Record(double arrival, double latency, int status, bool ok) {
+    LoadGenWindow& w = WindowAt(arrival);
+    // 503 (shed) and 504 (queue deadline) are well-formed server answers
+    // under load, not transport errors; they are counted separately.
+    if (!ok || (status / 100 != 2 && status != 503 && status != 504)) {
+      ++report_.errors;
+      ++w.errors;
+      return;
+    }
+    ++report_.completed;
+    ++w.completed;
+    report_.latency.Add(latency);
+    if (latency > opts_.tau) {
+      ++report_.overdue;
+      ++w.overdue;
+    }
+    if (status == 503) {
+      ++report_.rejected;
+      ++w.rejected;
+    }
+    if (status == 504) {
+      ++report_.deadline;
+      ++w.deadline;
+    }
+  }
+
+  /// Open loop: moves backlogged arrivals into any room, then routes every
+  /// arrival that has come due. Latency is charged from the scheduled time,
+  /// so a wait in the backlog counts against the server (no coordinated
+  /// omission). Returns the next scheduled arrival.
+  double Release(double now) {
+    while (!backlog_.empty() && HasRoom()) {
+      double at = backlog_.front();
+      backlog_.pop_front();
+      Send(at);
+    }
+    for (double at = schedule_->Next(); at <= now; at = schedule_->Next()) {
+      schedule_->Pop();
+      LoadGenWindow& w = WindowAt(at);
+      ++w.arrived;
+      if (backlog_.empty() && HasRoom()) {
+        Send(at);
+      } else if (backlog_.size() < opts_.max_backlog) {
+        backlog_.push_back(double{at});
+      } else {
+        ++w.dropped;
+        ++report_.dropped;
+      }
+    }
+    return schedule_->Next();
+  }
+
+  bool HasRoom() const {
+    return inflight_ < static_cast<int64_t>(conns_.size() * depth_);
+  }
+
+  /// Open loop: sends arrival `at` on the next connection with room,
+  /// connecting it first if it is down; a failed connect charges the
+  /// arrival as an error. Call only when HasRoom().
+  void Send(double at) {
+    size_t i = cursor_;
+    while (conns_[i].carried() >= depth_) i = (i + 1) % conns_.size();
+    cursor_ = (i + 1) % conns_.size();
+    if (!conns_[i].sock.valid() && !Connect(i)) {
+      Record(at, loop_.Now() - at, 0, false);
+      return;
+    }
+    Queue(i, at);
+    ContinueSend(i);
+  }
+
+  /// Closed loop: books new arrivals on connection `i` until it is full and
+  /// sends them in one gather write.
+  void Fill(size_t i) {
+    double now = loop_.Now();
+    while (conns_[i].carried() < depth_) {
+      ++WindowAt(now).arrived;
+      Queue(i, now);
+    }
+    ContinueSend(i);
+  }
 
   bool Connect(size_t i) {
     Conn& c = conns_[i];
     Result<Socket> sock =
         ConnectTcp(opts_.host, opts_.port, opts_.timeout_seconds);
-    if (!sock.ok()) return false;
+    if (!sock.ok() || !SetNonBlocking(sock->fd(), true).ok()) return false;
     c.sock = std::move(*sock);
-    if (!SetNonBlocking(c.sock.fd(), true).ok()) return false;
-    (void)SetNoDelay(c.sock.fd());
     c.want_write = false;
-    return loop_
-        .AddFd(c.sock.fd(), /*want_read=*/true, /*want_write=*/false,
-               [this, i](uint32_t events) { OnEvent(i, events); })
-        .ok();
+    if (!loop_
+             .AddFd(c.sock.fd(), /*want_read=*/true, /*want_write=*/false,
+                    [this, i](uint32_t events) { OnEvent(i, events); })
+             .ok()) {
+      c.sock.Close();
+      return false;
+    }
+    return true;
   }
 
   void OnEvent(size_t i, uint32_t events) {
-    Conn& c = conns_[i];
-    if (c.dead) return;
     if ((events & EPOLLOUT) != 0) ContinueSend(i);
-    // ContinueSend may have failed (and reconnected or killed) the
-    // connection; re-check before reading.
-    if (!conns_[i].dead &&
+    // ContinueSend may have failed (and maybe reconnected) the connection;
+    // re-check before reading.
+    if (conns_[i].sock.valid() &&
         (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
       OnReadable(i);
     }
@@ -275,17 +287,24 @@ class ClosedLoopMux {
     (void)loop_.ModifyFd(c.sock.fd(), /*want_read=*/true, on);
   }
 
-  /// Books a new arrival on connection `i` and queues its wire bytes.
-  /// Call only while the deadline has not passed; follow with
-  /// ContinueSend (batched so several queued requests share one syscall).
-  void QueueRequest(size_t i) {
+  /// Books a request started at `start` on connection `i` and queues its
+  /// wire bytes; follow with ContinueSend (batched so several queued
+  /// requests share one syscall).
+  void Queue(size_t i, double start) {
     Conn& c = conns_[i];
-    double start = state_.Now();
-    ++tally_.WindowAt(start, opts_.window_seconds).arrived;
     c.starts[c.issue_seq % depth_] = start;
     ++c.issue_seq;
     ++c.to_send;
     ++inflight_;
+  }
+
+  /// Charges the oldest request carried by `i` with the given outcome.
+  void Complete(size_t i, int status, bool ok) {
+    Conn& c = conns_[i];
+    double start = c.starts[c.done_seq % depth_];
+    Record(start, loop_.Now() - start, status, ok);
+    ++c.done_seq;
+    --inflight_;
   }
 
   /// Flushes queued requests with scatter-gather: every iovec points at
@@ -334,7 +353,6 @@ class ClosedLoopMux {
   void OnReadable(size_t i) {
     Conn& c = conns_[i];
     char buf[65536];
-    uint32_t queued = 0;
     for (;;) {
       ssize_t n = ::recv(c.sock.fd(), buf, sizeof(buf), 0);
       if (n > 0) {
@@ -346,24 +364,20 @@ class ClosedLoopMux {
             return;
           }
           if (!c.parser.done()) continue;
+          if (c.carried() == 0) {
+            // An answer to no request: the stream is out of step.
+            FailConnection(i);
+            return;
+          }
           // One pipelined response completed; more may follow in `buf`.
-          double now = state_.Now();
-          RecordResponse(opts_, tally_, c.starts[c.done_seq % depth_],
-                         now - c.starts[c.done_seq % depth_],
-                         c.parser.status(), true);
-          ++c.done_seq;
-          --inflight_;
+          Complete(i, c.parser.status(), true);
           bool reuse = c.parser.keep_alive();
           c.parser.Reset();
           if (!reuse) {
             // The server is closing after this response; everything still
-            // in flight on this connection is lost.
+            // carried on this connection is lost.
             FailConnection(i);
             return;
-          }
-          if (now < opts_.duration_seconds) {
-            QueueRequest(i);
-            ++queued;
           }
         }
         // Level-style short read: less than the buffer means the socket
@@ -375,143 +389,43 @@ class ClosedLoopMux {
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       // EOF or transport error. An EOF can legitimately terminate a
       // read-until-close body; anything else kills what is in flight.
-      if (n == 0 && c.done_seq != c.issue_seq &&
+      if (n == 0 && c.carried() > 0 &&
           c.parser.state() == HttpResponseParser::State::kBodyUntilClose) {
         c.parser.FinishEof();
-        double now = state_.Now();
-        RecordResponse(opts_, tally_, c.starts[c.done_seq % depth_],
-                       now - c.starts[c.done_seq % depth_],
-                       c.parser.status(), true);
-        ++c.done_seq;
-        --inflight_;
+        Complete(i, c.parser.status(), true);
         c.parser.Reset();
       }
       FailConnection(i);
       return;
     }
-    if (queued > 0) ContinueSend(i);
+    if (!opts_.open_loop && loop_.Now() < opts_.duration_seconds) Fill(i);
   }
 
-  /// Records everything in flight on `i` as transport errors, then
-  /// reconnects and refills the pipeline while the deadline allows.
+  /// Records everything carried by `i` as transport errors and disconnects.
+  /// Closed loop reconnects and refills at once while the run lasts; open
+  /// loop reconnects when its next arrival is routed here.
   void FailConnection(size_t i) {
-    Conn& c = conns_[i];
-    double now = state_.Now();
-    while (c.done_seq != c.issue_seq) {
-      RecordResponse(opts_, tally_, c.starts[c.done_seq % depth_],
-                     now - c.starts[c.done_seq % depth_], 0, false);
-      ++c.done_seq;
-      --inflight_;
-    }
-    c.parser.Reset();
+    while (conns_[i].carried() > 0) Complete(i, 0, false);
+    conns_[i].parser.Reset();
     Disconnect(i);
-    if (now >= opts_.duration_seconds || !Connect(i)) {
-      c.dead = true;
-      return;
-    }
-    for (uint32_t d = 0; d < depth_; ++d) QueueRequest(i);
-    ContinueSend(i);
+    if (opts_.open_loop || loop_.Now() >= opts_.duration_seconds) return;
+    if (Connect(i)) Fill(i);
   }
 
   static constexpr uint32_t kMaxSendIov = 64;
 
-  RunState& state_;
   const LoadGenOptions& opts_;
-  WorkerTally& tally_;
+  LoadGenReport& report_;
   const uint32_t depth_;
+  /// The job clock: Now() counts from the loop's construction.
+  EventLoop loop_;
   std::string wire_;
   std::vector<Conn> conns_;
-  EventLoop loop_;
-  int64_t inflight_ = 0;
+  int64_t inflight_ = 0;  // requests carried across all connections
+  std::optional<ArrivalSchedule> schedule_;  // open loop only
+  RingDeque<double> backlog_;  // due arrivals waiting for room, oldest first
+  size_t cursor_ = 0;          // where Send starts looking for room
 };
-
-/// Scheduler: walks real time in small ticks, asks the sine process how
-/// many requests arrive per tick (Equations 8-9 + Gaussian noise), and
-/// spreads them uniformly inside the tick.
-void ScheduleArrivals(RunState& state, std::vector<LoadGenWindow>& windows) {
-  const LoadGenOptions& opts = *state.opts;
-  serving::SineArrivalProcess sine(
-      opts.target_rate,
-      opts.sine_period > 0 ? opts.sine_period : opts.duration_seconds,
-      opts.seed, opts.sine_period > 0 ? opts.noise_stddev : 0.0);
-  Rng spread(Rng::Mix(opts.seed + 17));
-  // At spin-pacing rates a 5 ms tick releases hundreds of arrivals per
-  // batch; a finer tick keeps the backlog handoff smooth and the spin
-  // windows short.
-  const bool spin = opts.target_rate >= kSpinPacingRate;
-  const double tick = spin ? 0.001 : 0.005;
-  double constant_residual = 0.0;
-  double t = 0.0;
-
-  // Books one batch of arrivals for [t, t + dt) and advances t.
-  auto emit_batch = [&](double dt) {
-    int64_t n;
-    if (opts.sine_period > 0) {
-      n = sine.Arrivals(t, dt);
-    } else {
-      constant_residual += opts.target_rate * dt;
-      n = static_cast<int64_t>(constant_residual);
-      constant_residual -= static_cast<double>(n);
-    }
-    if (n > 0) {
-      std::vector<double> times;
-      times.reserve(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        times.push_back(t + spread.Uniform(0.0, dt));
-      }
-      std::sort(times.begin(), times.end());
-      {
-        std::lock_guard<std::mutex> lock(state.mu);
-        for (double at : times) {
-          auto wi = static_cast<size_t>(at / opts.window_seconds);
-          LoadGenWindow& w = windows[std::min(wi, windows.size() - 1)];
-          ++w.arrived;
-          if (state.arrivals.size() >= opts.max_backlog) {
-            ++w.dropped;
-            ++state.dropped_backlog;
-          } else {
-            state.arrivals.push_back(at);
-          }
-        }
-      }
-      state.cv.notify_all();
-    }
-    t += dt;
-  };
-
-  if (spin) {
-    // The 1 ms wheel granularity cannot give the few-microsecond batch
-    // release spin pacing exists for, so high rates keep the busy-spin
-    // pacer (asserted to sustain >= 50k req/s in loadgen_test). When an
-    // iteration overruns its tick (worker threads starving this one), the
-    // next batch covers the whole lag — the schedule catches up instead
-    // of silently emitting below the target rate.
-    while (t < opts.duration_seconds) {
-      double lag = state.Now() - t;
-      double dt = std::min(std::max(tick, lag), opts.duration_seconds - t);
-      emit_batch(dt);
-      PaceUntil(state, t, /*spin=*/true);
-    }
-  } else {
-    // Everything slower rides the reactor wheel: a periodic timer releases
-    // each batch at its exact tick (re-armed from the schedule, so batch
-    // release never drifts the way accumulated sleep error does).
-    EventLoop loop(LoopOptions(state));
-    emit_batch(std::min(tick, opts.duration_seconds));
-    if (t < opts.duration_seconds) {
-      loop.RunEvery(tick, [&] {
-        emit_batch(std::min(tick, opts.duration_seconds - t));
-        if (t >= opts.duration_seconds) loop.Stop();
-      });
-      loop.Run();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    state.done_scheduling = true;
-  }
-  state.cv.notify_all();
-}
 
 }  // namespace
 
@@ -524,64 +438,13 @@ LoadGenReport RunLoadGen(const LoadGenOptions& opts) {
       std::ceil(opts.duration_seconds / opts.window_seconds));
   num_windows = std::max<size_t>(num_windows, 1);
 
-  RunState state;
-  state.opts = &opts;
-  state.epoch = SteadyClock::now();
-
-  std::vector<WorkerTally> tallies;
-  tallies.reserve(static_cast<size_t>(opts.connections));
-  for (int i = 0; i < opts.connections; ++i) {
-    tallies.emplace_back(num_windows);
-  }
-  // Scheduler-side arrival/drop counts (open loop).
-  std::vector<LoadGenWindow> arrival_windows(num_windows);
-
-  std::vector<std::thread> workers;
-  if (opts.open_loop) {
-    workers.reserve(static_cast<size_t>(opts.connections));
-    for (int i = 0; i < opts.connections; ++i) {
-      WorkerTally& tally = tallies[static_cast<size_t>(i)];
-      workers.emplace_back([&state, &tally] { OpenLoopWorker(state, tally); });
-    }
-    ScheduleArrivals(state, arrival_windows);
-  } else {
-    // One reactor thread drives all closed-loop connections; the remaining
-    // tallies stay zero and merge as no-ops.
-    workers.emplace_back(
-        [&state, &tallies] { ClosedLoopMux(state, tallies[0]).Run(); });
-  }
-  for (std::thread& t : workers) t.join();
-  double elapsed = state.Now();
-
   LoadGenReport report;
   report.windows.assign(num_windows, LoadGenWindow{});
   for (size_t i = 0; i < num_windows; ++i) {
-    report.windows[i].t_begin =
-        static_cast<double>(i) * opts.window_seconds;
+    report.windows[i].t_begin = static_cast<double>(i) * opts.window_seconds;
   }
-  for (size_t i = 0; i < num_windows; ++i) {
-    report.windows[i].arrived += arrival_windows[i].arrived;
-    report.windows[i].dropped += arrival_windows[i].dropped;
-  }
-  for (const WorkerTally& tally : tallies) {
-    report.completed += tally.completed;
-    report.overdue += tally.overdue;
-    report.rejected += tally.rejected;
-    report.deadline += tally.deadline;
-    report.errors += tally.errors;
-    report.latency.Merge(tally.latency);
-    for (size_t i = 0; i < num_windows; ++i) {
-      const LoadGenWindow& w = tally.windows[i];
-      report.windows[i].arrived += w.arrived;  // closed-loop arrivals
-      report.windows[i].completed += w.completed;
-      report.windows[i].overdue += w.overdue;
-      report.windows[i].rejected += w.rejected;
-      report.windows[i].deadline += w.deadline;
-      report.windows[i].errors += w.errors;
-    }
-  }
+  double elapsed = LoadGenMux(opts, report).Run();
   for (const LoadGenWindow& w : report.windows) report.arrived += w.arrived;
-  report.dropped = state.dropped_backlog;
   report.duration_seconds = elapsed;
   report.achieved_rps =
       elapsed > 0 ? static_cast<double>(report.completed) / elapsed : 0.0;

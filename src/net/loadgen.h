@@ -9,7 +9,8 @@
 
 namespace rafiki::net {
 
-/// Load-generator configuration. Two modes:
+/// Load-generator configuration. Two modes, both run on one reactor on the
+/// calling thread:
 ///   * open-loop (default): arrivals are scheduled by the paper's sine
 ///     process (Equations 8-9 around `target_rate`, period `sine_period`)
 ///     or at a constant `target_rate` when `sine_period` == 0, regardless
@@ -31,24 +32,28 @@ struct LoadGenOptions {
   /// Sine period T in seconds; 0 disables the sine (constant rate).
   double sine_period = 60.0;
   double noise_stddev = 0.1;
-  /// Concurrent keep-alive connections. Open loop runs one worker thread
-  /// per connection; closed loop multiplexes all of them on one epoll
-  /// thread.
+  /// Concurrent keep-alive connections, all multiplexed on the one
+  /// reactor.
   int connections = 4;
-  /// Closed loop only: requests kept in flight per connection (HTTP
-  /// pipelining). 1 is the classic closed loop — next request only after
-  /// the previous answer. Depths > 1 let both sides coalesce several
-  /// requests per syscall and per TCP segment, which is what it takes to
-  /// push the transport past the per-round-trip floor of loopback.
+  /// Requests a connection may carry at once (HTTP pipelining). Closed
+  /// loop keeps every connection full; open loop sends a due arrival to
+  /// any connection carrying fewer. 1 is the classic client — next request
+  /// only after the previous answer. Depths > 1 let both sides coalesce
+  /// several requests per syscall and per TCP segment, which is what it
+  /// takes to push the transport past the per-round-trip floor of
+  /// loopback.
   int pipeline = 1;
   /// Client-observed latency SLO; completions slower than this count as
   /// overdue (measured from the scheduled arrival in open loop).
   double tau = 0.1;
   double window_seconds = 1.0;
   uint64_t seed = 1;
-  /// Open loop: arrivals waiting to be sent beyond this are dropped
-  /// (the client-side analogue of a full queue).
+  /// Open loop: a due arrival that finds every connection full waits in a
+  /// backlog; past this many waiting, it is dropped (the client-side
+  /// analogue of a full queue).
   size_t max_backlog = 100000;
+  /// Connect timeout, and how long past `duration_seconds` the run waits
+  /// for outstanding answers; those still missing then count as errors.
   double timeout_seconds = 10.0;
 };
 
@@ -85,8 +90,9 @@ struct LoadGenReport {
 };
 
 /// Replays the configured arrival process against a live server — the live
-/// analogue of ServingSimulator::Run. Blocks for the duration and returns
-/// the merged report.
+/// analogue of ServingSimulator::Run. Runs on the calling thread and starts
+/// none; blocks for the duration plus the time outstanding answers take,
+/// and returns the report.
 LoadGenReport RunLoadGen(const LoadGenOptions& options);
 
 }  // namespace rafiki::net

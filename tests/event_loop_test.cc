@@ -254,7 +254,6 @@ TEST(EventLoopTest, TickHooksBracketDispatch) {
   FdPair fds;
   EventLoop loop;
   std::vector<std::string> trace;
-  loop.SetTickBeginHook([&] { trace.push_back("begin"); });
   loop.SetTickEndHook([&] { trace.push_back("end"); });
   ASSERT_TRUE(loop.AddFd(fds.a, true, false, [&](uint32_t) {
     char buf[8];
@@ -263,26 +262,38 @@ TEST(EventLoopTest, TickHooksBracketDispatch) {
   }).ok());
   fds.MakeReadable(fds.a);
   loop.PollOnce(0.5);
-  EXPECT_EQ(trace, (std::vector<std::string>{"begin", "fd", "end"}));
+  EXPECT_EQ(trace, (std::vector<std::string>{"fd", "end"}));
 }
 
-TEST(EventLoopTest, WakeDuringTickBeginHookWakesNextPoll) {
-  // A producer that hands work to the begin hook's mailbox and calls Wake()
-  // just after the hook has looked must still wake the next wait. The
-  // hook's own Wake() stands in for that producer.
+TEST(EventLoopTest, PostFromPostedTaskWakesNextPoll) {
+  // A task posted after the tick has swapped the mailbox out must still
+  // wake the next wait. A posted task's own Post() stands in for a producer
+  // on another thread that hands work over at that moment.
   EventLoop loop;
-  int ticks = 0;
-  loop.SetTickBeginHook([&] {
-    if (++ticks == 1) loop.Wake();
+  int runs = 0;
+  loop.Post([&] {
+    ++runs;
+    loop.Post([&] { ++runs; });
   });
-  loop.Wake();
   loop.PollOnce(0.5);
+  EXPECT_EQ(runs, 1);
   auto start = std::chrono::steady_clock::now();
   loop.PollOnce(10.0);
   std::chrono::duration<double> waited =
       std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(ticks, 2);
-  EXPECT_LT(waited.count(), 5.0) << "the hook-window Wake() was consumed";
+  EXPECT_EQ(runs, 2);
+  EXPECT_LT(waited.count(), 5.0) << "the second Post() did not wake the loop";
+}
+
+TEST(EventLoopTest, SubMillisecondWaitIsNotRoundedUp) {
+  // The wait is a timespec, not whole milliseconds: 50 idle 200 us polls
+  // take about 10 ms, where millisecond rounding would take 50 ms or more.
+  EventLoop loop;
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) loop.PollOnce(200e-6);
+  std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 0.050);
 }
 
 TEST(EventLoopTest, StopFromTimerEndsRun) {

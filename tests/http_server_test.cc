@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -84,6 +86,65 @@ std::vector<int> RawExchange(uint16_t port, const std::string& wire,
     }
   }
   return statuses;
+}
+
+/// Threads in this process, one /proc/self/task entry each.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(HttpServerTest, StartAddsOneThreadPerWorkerAndNoAcceptor) {
+  HttpServerOptions opts;
+  opts.num_workers = 3;
+  HttpServer server(EchoHandler, opts);
+  // A sanitizer runtime may start a helper thread at the process's first
+  // thread creation; create one first so that helper is already counted.
+  std::thread([] {}).join();
+  size_t before = ThreadCount();
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(ThreadCount(), before + 3);
+  HttpClient client("127.0.0.1", server.port());
+  Result<HttpResponse> resp = client.Get("/accepted");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->body, "GET /accepted");
+  server.Stop();
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+TEST(HttpServerTest, ConnectionsLandOnWorkersRoundRobin) {
+  // Worker 0 accepts and deals connections out in accept order: with two
+  // workers, the 1st and 3rd land on one loop, the 2nd and 4th on the
+  // other.
+  std::mutex mu;
+  std::vector<std::thread::id> loop_of;
+  HttpServerOptions opts;
+  opts.num_workers = 2;
+  HttpServer server(
+      [&](const HttpRequest&) {
+        std::lock_guard<std::mutex> lock(mu);
+        loop_of.push_back(std::this_thread::get_id());
+        return HttpResponse{};
+      },
+      opts);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<std::unique_ptr<HttpClient>> clients;
+  for (int i = 0; i < 4; ++i) {
+    // Each connection is answered before the next one connects, so the
+    // accept order is the client order.
+    clients.push_back(std::make_unique<HttpClient>("127.0.0.1", server.port()));
+    ASSERT_TRUE(clients.back()->Get("/").ok());
+  }
+  server.Stop();
+  ASSERT_EQ(loop_of.size(), 4u);
+  EXPECT_NE(loop_of[0], loop_of[1]);
+  EXPECT_EQ(loop_of[0], loop_of[2]);
+  EXPECT_EQ(loop_of[1], loop_of[3]);
 }
 
 TEST(HttpServerTest, ServesBasicGetOverRealSocket) {
@@ -285,9 +346,15 @@ TEST(HttpServerTest, RequestsDuringDrainAre503) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::thread stopper([&] { server.Stop(); });
-  // Let Stop() pass the acceptor join (one 50 ms poll) into kDraining
-  // before the late request goes out, so it is parsed mid-drain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Worker 0 closes the listener on the first tick that sees the drain, so
+  // once a fresh connect is refused the late request is parsed mid-drain.
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool refused = false;
+  while (!refused && std::chrono::steady_clock::now() < give_up) {
+    refused = !ConnectTcp("127.0.0.1", port, 10.0).ok();
+    if (!refused) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(refused) << "the listener stayed open after Stop()";
   std::string wire = "GET /late HTTP/1.1\r\n\r\n";
   ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
   std::string buffered;

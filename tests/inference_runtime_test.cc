@@ -314,10 +314,11 @@ TEST(InferenceRuntimeTest, ConcurrentQueryUndeployStress) {
 
     std::atomic<bool> gone{false};
     std::atomic<int> served{0};
+    std::promise<void> first_answer;
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&runtime, &id, &gone, &served] {
+      threads.emplace_back([&runtime, &id, &gone, &served, &first_answer] {
         while (!gone.load()) {
           auto submitted = runtime.Submit(id, OneHot(8, 3));
           if (!submitted.ok()) {
@@ -329,7 +330,7 @@ TEST(InferenceRuntimeTest, ConcurrentQueryUndeployStress) {
           Result<EnsemblePrediction> answer = submitted->get();
           if (answer.ok()) {
             ASSERT_EQ(answer->label, 3);
-            ++served;
+            if (served++ == 0) first_answer.set_value();
           } else {
             ASSERT_TRUE(answer.status().IsUnavailable())
                 << answer.status().ToString();
@@ -337,7 +338,10 @@ TEST(InferenceRuntimeTest, ConcurrentQueryUndeployStress) {
         }
       });
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+    // Undeploy once the job has answered, while the submitters keep racing.
+    EXPECT_EQ(first_answer.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "round " << round << " served nothing";
     ASSERT_TRUE(runtime.Undeploy(id).ok());
     gone.store(true);
     for (std::thread& t : threads) t.join();

@@ -1,12 +1,30 @@
 #include "net/loadgen.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <filesystem>
+#include <mutex>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "net/http_server.h"
 
 namespace rafiki::net {
 namespace {
+
+/// Threads in this process, one /proc/self/task entry each.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
 
 TEST(LoadGenTest, OpenLoopConservesAndMeasures) {
   std::atomic<int> hits{0};
@@ -87,6 +105,7 @@ TEST(LoadGenTest, ClosedLoopRunsBackToBack) {
   LoadGenOptions opts;
   opts.port = server.port();
   opts.open_loop = false;
+  opts.target_rate = 0.0;  // closed loop has no schedule to read it
   opts.duration_seconds = 0.5;
   opts.connections = 2;
   opts.window_seconds = 0.25;
@@ -124,15 +143,91 @@ TEST(LoadGenTest, CountsRejectionsSeparatelyFromErrors) {
   EXPECT_GT(report.rejected, 0);
 }
 
-TEST(LoadGenTest, SpinPacerSustainsFiftyThousandPerSecond) {
-  // The busy-spin pacer's contract: at spin-pacing rates the *schedule*
-  // is emitted in full — arrived tracks rate * duration even when nothing
-  // answers (the port is dead, every request errors instantly). Workers
-  // contending for the CPU must not silently depress the arrival rate.
+TEST(LoadGenTest, FullConnectionBacklogsThenDropsAndChargesTheWait) {
+  // One connection carrying one request at a time, and a server that parks
+  // each answer and completes it kHold later. Arrivals every 2.5 ms find
+  // the connection full and wait in the backlog; past max_backlog they are
+  // dropped. Every request that went out is answered, and the backlog wait
+  // counts: latency runs from the scheduled arrival, not from the send.
+  constexpr auto kHold = std::chrono::milliseconds(20);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<HttpServer::ResponseWriter> parked;
+  bool done = false;
+  std::atomic<size_t> threads_seen{0};
+  HttpServer server([&](const HttpRequest&, HttpServer::ResponseWriter writer) {
+    size_t n = ThreadCount();
+    size_t seen = threads_seen.load();
+    while (n > seen && !threads_seen.compare_exchange_weak(seen, n)) {
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      parked.push_back(std::move(writer));
+    }
+    cv.notify_one();
+  });
+  ASSERT_TRUE(server.Start().ok());
+  std::thread releaser([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      cv.wait(lock, [&] { return done || !parked.empty(); });
+      if (parked.empty()) return;
+      HttpServer::ResponseWriter writer = std::move(parked.front());
+      parked.pop_front();
+      lock.unlock();
+      std::this_thread::sleep_for(kHold);  // the server's service time
+      HttpResponse resp;
+      resp.body = "ok";
+      writer.Complete(resp);
+      lock.lock();
+    }
+  });
+  const size_t threads_before = ThreadCount();
+
+  LoadGenOptions opts;
+  opts.port = server.port();
+  opts.duration_seconds = 0.5;
+  opts.target_rate = 400.0;
+  opts.sine_period = 0.0;
+  opts.connections = 1;
+  opts.max_backlog = 4;
+  opts.window_seconds = 0.25;
+  LoadGenReport report = RunLoadGen(opts);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_one();
+  releaser.join();
+  server.Stop();
+
+  EXPECT_GT(report.dropped, 0) << report.ToString();
+  EXPECT_EQ(report.errors, 0) << report.ToString();
+  EXPECT_EQ(report.arrived,
+            report.completed + report.errors + report.dropped);
+  int64_t win_dropped = 0;
+  for (const LoadGenWindow& w : report.windows) win_dropped += w.dropped;
+  EXPECT_EQ(win_dropped, report.dropped);
+  // A request that waited behind a full backlog of 4 spent about four
+  // holds there before its own; measured from the send it would read
+  // about one hold.
+  EXPECT_GT(report.latency.P50(),
+            2 * std::chrono::duration<double>(kHold).count())
+      << report.ToString();
+  // The generator ran on the calling thread and started none.
+  EXPECT_EQ(threads_seen.load(), threads_before);
+}
+
+TEST(LoadGenTest, ReactorEmitsTheFullScheduleAtEightyThousandPerSecond) {
+  // The reactor pacer's contract: at high rates the *schedule* is emitted
+  // in full — arrived tracks rate * duration even when nothing answers
+  // (the port is dead, and every arrival errors after its own failed
+  // connect). That connect work, on the one reactor thread, must not
+  // silently depress the arrival rate.
   LoadGenOptions opts;
   opts.port = 1;  // no listener: connect fails immediately
   opts.duration_seconds = 0.5;
-  opts.target_rate = 80e3;  // >= the 50e3 spin-pacing threshold
+  opts.target_rate = 80e3;
   opts.sine_period = 0.0;
   opts.connections = 2;
   opts.max_backlog = 1u << 20;  // count the full schedule, don't drop it
