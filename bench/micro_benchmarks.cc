@@ -760,11 +760,12 @@ void BM_ServeClosedLoopReplicas(benchmark::State& state) {
                      /*replicas=*/static_cast<int>(state.range(0)));
 }
 // Arg is the replica-dispatcher count of the deployed job (static, no
-// autoscale) under the greedy policy, so the deltas isolate the replicated
-// serving plane — dispatchers sharing the job's queue, per-replica net
-// clones. On a multicore host req/s scales with replicas; on a 1-core
-// runner real-time stays flat and the replication cost/benefit shows up in
-// cpu_time and mean_batch instead.
+// autoscale) under the greedy policy: the closed loop above with the job's
+// one queue drained by 1, 2 or 4 dispatchers, each with its own net clone.
+// Each row reports the completed req/s (rps), the server's in-flight peak,
+// the job's mean batch and its replica count; it makes no claim about how
+// req/s moves with the replica count. cpu_time is the load generator's,
+// because RunLoadGen runs on the benchmark thread.
 BENCHMARK(BM_ServeClosedLoopReplicas)
     ->Arg(1)
     ->Arg(2)

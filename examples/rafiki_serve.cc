@@ -16,13 +16,11 @@
 // drain-time "job metrics ..." and "conservation ... ok=1" lines. SIGINT or
 // SIGTERM triggers a graceful drain-then-stop.
 
-#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "common/string_util.h"
 #include "data/dataset.h"
@@ -30,10 +28,6 @@
 #include "serving/rl_scheduler.h"
 
 namespace {
-
-std::atomic<bool> g_stop{false};
-
-void HandleSignal(int) { g_stop = true; }
 
 int64_t FlagInt(int argc, char** argv, const char* name, int64_t fallback) {
   std::string prefix = std::string("--") + name + "=";
@@ -59,6 +53,14 @@ std::string FlagString(int argc, char** argv, const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Block the stop signals before any thread starts, so every thread
+  // inherits the mask and only the main thread's sigwait takes them.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   auto port = static_cast<uint16_t>(FlagInt(argc, argv, "port", 0));
   auto workers = static_cast<int>(FlagInt(argc, argv, "workers", 2));
   auto max_inflight =
@@ -161,11 +163,8 @@ int main(int argc, char** argv) {
   std::printf("listening port=%u workers=%d\n", server.port(), workers);
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  while (!g_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  int stop_signal = 0;
+  sigwait(&stop_signals, &stop_signal);
 
   std::printf("draining...\n");
   std::fflush(stdout);

@@ -55,15 +55,10 @@ Status RpcBus::Init() {
     if (!added.ok()) return added;
   } else {
     port_ = options_.port;
-    auto sock = net::ConnectTcp(options_.connect_host, port_, /*timeout=*/0);
-    if (sock.ok()) {
-      AdoptConn(std::move(sock).value(), /*is_upstream=*/true);
-    } else {
-      // Not fatal: the reconnect timer keeps dialing with backoff, so a
-      // worker may start before the master listens.
-      backoff_ = options_.reconnect_initial;
-      ScheduleReconnect(backoff_);
-    }
+    // The dial finishes on the loop thread. A failure is not fatal: the
+    // reconnect timer keeps dialing with backoff, so a worker may start
+    // before the master listens.
+    TryDial(/*redial=*/false);
   }
 
   loop_thread_ = std::thread([this] { loop_->Run(); });
@@ -352,25 +347,45 @@ void RpcBus::CloseConn(int fd) {
 
 void RpcBus::ScheduleReconnect(std::chrono::milliseconds delay) {
   loop_->RunAfter(std::chrono::duration<double>(delay).count(),
-                  [this] { TryDial(); });
+                  [this] { TryDial(/*redial=*/true); });
 }
 
-void RpcBus::TryDial() {
+void RpcBus::TryDial(bool redial) {
   if (is_hub_ || stopping_.load(std::memory_order_acquire)) return;
   if (connected()) return;
-  auto sock = net::ConnectTcp(options_.connect_host, port_, /*timeout=*/0);
-  if (!sock.ok()) {
-    backoff_ = backoff_.count() == 0
-                   ? options_.reconnect_initial
-                   : std::min(backoff_ * 2, options_.reconnect_max);
-    ScheduleReconnect(backoff_);
+  auto sock = net::DialTcp(options_.connect_host, port_);
+  if (sock.ok() &&
+      loop_
+          ->AddFd(sock->fd(), /*want_read=*/false, /*want_write=*/true,
+                  [this, redial](uint32_t) { OnDialed(redial); })
+          .ok()) {
+    dial_sock_ = std::move(sock).value();
     return;
   }
-  AdoptConn(std::move(sock).value(), /*is_upstream=*/true);
-  reconnects_.fetch_add(1, std::memory_order_relaxed);
+  BackOff();
+}
+
+void RpcBus::OnDialed(bool redial) {
+  net::Socket sock = std::move(dial_sock_);
+  (void)loop_->RemoveFd(sock.fd());
+  if (!net::FinishDial(sock.fd()).ok()) {
+    BackOff();
+    return;  // sock closes on scope exit
+  }
+  AdoptConn(std::move(sock), /*is_upstream=*/true);
   backoff_ = options_.reconnect_initial;
-  RAFIKI_LOG(INFO) << "rpc bus reconnected to " << options_.connect_host
-                   << ":" << port_;
+  if (redial) {
+    reconnects_.fetch_add(1, std::memory_order_relaxed);
+    RAFIKI_LOG(INFO) << "rpc bus reconnected to " << options_.connect_host
+                     << ":" << port_;
+  }
+}
+
+void RpcBus::BackOff() {
+  backoff_ = backoff_.count() == 0
+                 ? options_.reconnect_initial
+                 : std::min(backoff_ * 2, options_.reconnect_max);
+  ScheduleReconnect(backoff_);
 }
 
 Status RpcBus::EnqueueFrameLocked(Conn* conn, FrameType type,
@@ -570,6 +585,7 @@ void RpcBus::Shutdown() {
   stopping_.store(true, std::memory_order_release);
   if (loop_ != nullptr) loop_->Stop();
   if (loop_thread_.joinable()) loop_thread_.join();
+  dial_sock_.Close();
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, box] : endpoints_) box->Close();
   conns_.clear();

@@ -62,15 +62,19 @@ struct RpcBusOptions {
 /// thread woken when senders enqueue outbound frames (outboxes flush in
 /// the loop's end-of-tick hook). Reconnect backoff is a one-shot wheel
 /// timer, so a downed hub is re-dialed at the exact deadline — there is no
-/// safety polling tick.
+/// safety polling tick. A dial never blocks that thread: it completes on
+/// EPOLLOUT, bounded by the kernel's SYN retries, and Shutdown() closes a
+/// dial still in progress.
 class RpcBus : public Bus {
  public:
   /// Starts a hub listening on options.port (0 = ephemeral; see `port()`).
   static Result<std::unique_ptr<RpcBus>> Listen(const RpcBusOptions& options);
 
-  /// Starts a leaf dialing the hub at connect_host:port. A failed first
-  /// dial is not fatal: the bus starts disconnected and the backoff loop
-  /// keeps retrying, so workers may start before the master listens.
+  /// Starts a leaf dialing the hub at connect_host:port. Returns at once:
+  /// the dial completes on the bus's loop thread, and `connected()` turns
+  /// true once it does. A failed dial is not fatal: the bus stays
+  /// disconnected and the backoff loop keeps retrying, so workers may start
+  /// before the master listens.
   static Result<std::unique_ptr<RpcBus>> Connect(const RpcBusOptions& options);
 
   ~RpcBus() override;
@@ -122,9 +126,16 @@ class RpcBus : public Bus {
   void CloseConn(int fd);
   /// Leaf, loop thread only: arms the one-shot reconnect timer.
   void ScheduleReconnect(std::chrono::milliseconds delay);
-  /// Leaf, loop thread only: one dial attempt; failure doubles the backoff
-  /// (capped) and re-arms the timer.
-  void TryDial();
+  /// Leaf, loop thread (or Init, before the loop starts): starts one
+  /// nonblocking dial of the hub, which OnDialed finishes on EPOLLOUT. A
+  /// re-dial (`redial`) that connects counts in `reconnects`.
+  void TryDial(bool redial);
+  /// Leaf, loop thread: the dial's fd reported writable or an error. Adopts
+  /// the socket as the upstream link, or backs off.
+  void OnDialed(bool redial);
+  /// Leaf, loop thread: after a failed dial, doubles the backoff (capped)
+  /// and re-arms the reconnect timer.
+  void BackOff();
   void AdoptConn(net::Socket sock, bool is_upstream)
       /* requires loop thread or pre-loop init */;
   Status EnqueueFrameLocked(Conn* conn, FrameType type,
@@ -150,6 +161,7 @@ class RpcBus : public Bus {
 
   // Reconnect state, loop thread only.
   std::chrono::milliseconds backoff_{0};
+  net::Socket dial_sock_;  // the hub dial in progress, if any
 
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> sent_{0};

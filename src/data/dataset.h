@@ -51,7 +51,7 @@ struct SyntheticTaskOptions {
 Dataset MakeSyntheticTask(const SyntheticTaskOptions& options);
 
 /// Options for a small synthetic image task (rank-4 input), used by the
-/// Conv2D path and the preprocessing pipeline.
+/// Conv2D path.
 struct SyntheticImageOptions {
   int64_t num_classes = 4;
   int64_t samples_per_class = 32;

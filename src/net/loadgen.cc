@@ -85,6 +85,10 @@ class ArrivalSchedule {
 /// otherwise the arrival waits in the backlog, and past `max_backlog` it is
 /// dropped. The reactor's wait is capped by the next scheduled arrival.
 ///
+/// Connections dial on the reactor too: a dial completes on EPOLLOUT, and a
+/// loop timer fails it after `timeout_seconds`. Requests routed to a
+/// connection that is still dialing queue on it, as on a full send buffer.
+///
 /// The request's wire bytes are serialized once and replayed verbatim, and
 /// each connection reuses one response parser, so the generator does no
 /// per-request formatting or heap work.
@@ -106,10 +110,8 @@ class LoadGenMux {
     conns_.resize(static_cast<size_t>(opts_.connections));
     for (Conn& c : conns_) c.starts.assign(depth_, 0.0);
     if (!opts_.open_loop) {
-      // A closed-loop connection that cannot connect stays out of the run.
-      for (size_t i = 0; i < conns_.size(); ++i) {
-        if (Connect(i)) Fill(i);
-      }
+      // A closed-loop connection whose dial fails stays out of the run.
+      for (size_t i = 0; i < conns_.size(); ++i) Connect(i);
     }
     // Bounds a run whose last answers never arrive.
     const double hard_stop =
@@ -118,7 +120,8 @@ class LoadGenMux {
     for (;;) {
       double now = loop_.Now();
       double next_arrival = opts_.open_loop ? Release(now) : kInfinity;
-      if (inflight_ == 0 && backlog_.empty() && next_arrival == kInfinity) {
+      if (inflight_ == 0 && dials_ == 0 && backlog_.empty() &&
+          next_arrival == kInfinity) {
         break;
       }
       if (now >= hard_stop) break;
@@ -138,8 +141,13 @@ class LoadGenMux {
 
  private:
   struct Conn {
-    /// Valid exactly while connected and registered with the reactor.
+    /// Valid exactly while dialing or connected, and registered with the
+    /// reactor.
     Socket sock;
+    /// From Connect until the dial completes or fails; `dial_timer` fails
+    /// it after `timeout_seconds` (0 when there is no timeout).
+    bool dialing = false;
+    TimerId dial_timer = 0;
     HttpResponseParser parser;
     /// Start timestamps of carried requests, indexed by seq % depth. HTTP
     /// pipelining answers in order, so done_seq walks behind issue_seq and
@@ -218,7 +226,7 @@ class LoadGenMux {
   }
 
   /// Open loop: sends arrival `at` on the next connection with room,
-  /// connecting it first if it is down; a failed connect charges the
+  /// dialing it first if it is down; a dial that cannot start charges the
   /// arrival as an error. Call only when HasRoom().
   void Send(double at) {
     size_t i = cursor_;
@@ -229,42 +237,74 @@ class LoadGenMux {
       return;
     }
     Queue(i, at);
-    ContinueSend(i);
+    if (!conns_[i].dialing) ContinueSend(i);
   }
 
-  /// Closed loop: books new arrivals on connection `i` until it is full and
-  /// sends them in one gather write.
+  /// Closed loop: while the run lasts, books new arrivals on connection `i`
+  /// until it is full. Then sends what it carries in one gather write.
   void Fill(size_t i) {
     double now = loop_.Now();
-    while (conns_[i].carried() < depth_) {
-      ++WindowAt(now).arrived;
-      Queue(i, now);
+    if (!opts_.open_loop && now < opts_.duration_seconds) {
+      while (conns_[i].carried() < depth_) {
+        ++WindowAt(now).arrived;
+        Queue(i, now);
+      }
     }
     ContinueSend(i);
   }
 
+  /// Starts connection `i`'s dial and watches it; OnDialed finishes it.
+  /// Returns false when the dial could not start.
   bool Connect(size_t i) {
     Conn& c = conns_[i];
-    Result<Socket> sock =
-        ConnectTcp(opts_.host, opts_.port, opts_.timeout_seconds);
-    if (!sock.ok() || !SetNonBlocking(sock->fd(), true).ok()) return false;
-    c.sock = std::move(*sock);
-    c.want_write = false;
-    if (!loop_
-             .AddFd(c.sock.fd(), /*want_read=*/true, /*want_write=*/false,
+    Result<Socket> sock = DialTcp(opts_.host, opts_.port);
+    if (!sock.ok() ||
+        !loop_
+             .AddFd(sock->fd(), /*want_read=*/true, /*want_write=*/true,
                     [this, i](uint32_t events) { OnEvent(i, events); })
              .ok()) {
-      c.sock.Close();
       return false;
+    }
+    c.sock = std::move(*sock);
+    c.want_write = true;
+    c.dialing = true;
+    ++dials_;
+    if (opts_.timeout_seconds > 0) {
+      c.dial_timer = loop_.RunAfter(opts_.timeout_seconds,
+                                    [this, i] { FailConnection(i); });
     }
     return true;
   }
 
+  /// Stops watching the dial of `c`, which completed or failed.
+  void EndDial(Conn& c) {
+    loop_.CancelTimer(c.dial_timer);
+    c.dial_timer = 0;
+    c.dialing = false;
+    --dials_;
+  }
+
+  /// The dial of `i` is over. A failed one charges what the connection
+  /// carries. A connected one sends what queued on it meanwhile, or, in
+  /// closed loop, fills it now, so a latency starts after the connect.
+  void OnDialed(size_t i) {
+    if (!FinishDial(conns_[i].sock.fd()).ok()) {
+      FailConnection(i);
+      return;
+    }
+    EndDial(conns_[i]);
+    Fill(i);
+  }
+
   void OnEvent(size_t i, uint32_t events) {
+    if (conns_[i].dialing) {
+      OnDialed(i);
+      return;
+    }
     if ((events & EPOLLOUT) != 0) ContinueSend(i);
-    // ContinueSend may have failed (and maybe reconnected) the connection;
-    // re-check before reading.
-    if (conns_[i].sock.valid() &&
+    // ContinueSend may have failed the connection, and closed loop may have
+    // started a redial; these events are not the new socket's.
+    if (conns_[i].sock.valid() && !conns_[i].dialing &&
         (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
       OnReadable(i);
     }
@@ -272,6 +312,7 @@ class LoadGenMux {
 
   void Disconnect(size_t i) {
     Conn& c = conns_[i];
+    if (c.dialing) EndDial(c);
     if (c.sock.valid()) {
       (void)loop_.RemoveFd(c.sock.fd());
       c.sock.Close();
@@ -398,18 +439,19 @@ class LoadGenMux {
       FailConnection(i);
       return;
     }
-    if (!opts_.open_loop && loop_.Now() < opts_.duration_seconds) Fill(i);
+    if (!opts_.open_loop) Fill(i);
   }
 
   /// Records everything carried by `i` as transport errors and disconnects.
-  /// Closed loop reconnects and refills at once while the run lasts; open
-  /// loop reconnects when its next arrival is routed here.
+  /// Closed loop redials at once while the run lasts, unless the dial is
+  /// what failed; open loop redials when its next arrival is routed here.
   void FailConnection(size_t i) {
+    bool redial = !conns_[i].dialing && !opts_.open_loop &&
+                  loop_.Now() < opts_.duration_seconds;
     while (conns_[i].carried() > 0) Complete(i, 0, false);
     conns_[i].parser.Reset();
     Disconnect(i);
-    if (opts_.open_loop || loop_.Now() >= opts_.duration_seconds) return;
-    if (Connect(i)) Fill(i);
+    if (redial) Connect(i);
   }
 
   static constexpr uint32_t kMaxSendIov = 64;
@@ -422,6 +464,7 @@ class LoadGenMux {
   std::string wire_;
   std::vector<Conn> conns_;
   int64_t inflight_ = 0;  // requests carried across all connections
+  int dials_ = 0;         // connections dialing
   std::optional<ArrivalSchedule> schedule_;  // open loop only
   RingDeque<double> backlog_;  // due arrivals waiting for room, oldest first
   size_t cursor_ = 0;          // where Send starts looking for room

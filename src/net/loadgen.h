@@ -52,8 +52,11 @@ struct LoadGenOptions {
   /// backlog; past this many waiting, it is dropped (the client-side
   /// analogue of a full queue).
   size_t max_backlog = 100000;
-  /// Connect timeout, and how long past `duration_seconds` the run waits
-  /// for outstanding answers; those still missing then count as errors.
+  /// How long one dial may take (a loop timer per dial), and how long past
+  /// `duration_seconds` the run waits for outstanding answers; those still
+  /// missing then count as errors. So a run lasts at most
+  /// `duration_seconds + timeout_seconds` (5 s past the duration when this
+  /// is not positive, and then a dial has no timer of its own).
   double timeout_seconds = 10.0;
 };
 

@@ -6,7 +6,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,42 +18,7 @@ Status Errno(const char* what) {
   return Status::Internal(StrFormat("%s: %s", what, std::strerror(errno)));
 }
 
-Status WaitFor(int fd, short events, const Deadline& deadline,
-               const char* what) {
-  for (;;) {
-    if (deadline.expired()) {
-      return Status::DeadlineExceeded(StrFormat("%s: deadline expired", what));
-    }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = events;
-    int n = ::poll(&pfd, 1, deadline.remaining_ms());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("poll");
-    }
-    if (n > 0) return Status::OK();
-    // n == 0: poll timed out; the expired() check above reports it.
-  }
-}
-
 }  // namespace
-
-int Deadline::remaining_ms() const {
-  if (!has_deadline_) return -1;
-  auto left = at_ - std::chrono::steady_clock::now();
-  if (left <= std::chrono::steady_clock::duration::zero()) return 0;
-  auto ms = std::chrono::ceil<std::chrono::milliseconds>(left).count();
-  return ms > 2147483646 ? 2147483646 : static_cast<int>(ms);
-}
-
-Status WaitReadable(int fd, const Deadline& deadline) {
-  return WaitFor(fd, POLLIN, deadline, "read");
-}
-
-Status WaitWritable(int fd, const Deadline& deadline) {
-  return WaitFor(fd, POLLOUT, deadline, "write");
-}
 
 void Socket::Close() {
   if (fd_ >= 0) {
@@ -112,10 +76,7 @@ Result<Socket> ListenTcp(uint16_t port, int backlog, uint16_t* bound_port) {
   return sock;
 }
 
-Result<Socket> ConnectTcp(const std::string& host, uint16_t port,
-                          double timeout_seconds) {
-  Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!sock.valid()) return Errno("socket");
+Result<Socket> DialTcp(const std::string& host, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -123,105 +84,30 @@ Result<Socket> ConnectTcp(const std::string& host, uint16_t port,
     return Status::InvalidArgument(
         StrFormat("not an IPv4 address: '%s'", host.c_str()));
   }
-  if (timeout_seconds > 0.0) {
-    // Nonblocking connect raced against the deadline: a black-holed peer
-    // surfaces as kDeadlineExceeded here instead of minutes of kernel SYN
-    // retries.
-    Deadline deadline = Deadline::After(timeout_seconds);
-    RAFIKI_RETURN_IF_ERROR(SetNonBlocking(sock.fd(), true));
-    int rc;
-    do {
-      rc = ::connect(sock.fd(), reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr));
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-      if (errno != EINPROGRESS) return Errno("connect");
-      RAFIKI_RETURN_IF_ERROR(WaitWritable(sock.fd(), deadline));
-      int err = 0;
-      socklen_t len = sizeof(err);
-      if (::getsockopt(sock.fd(), SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
-        return Errno("getsockopt(SO_ERROR)");
-      }
-      if (err != 0) {
-        errno = err;
-        return Errno("connect");
-      }
-    }
-    RAFIKI_RETURN_IF_ERROR(SetNonBlocking(sock.fd(), false));
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_seconds);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (timeout_seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-    if (::setsockopt(sock.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) <
-            0 ||
-        ::setsockopt(sock.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) <
-            0) {
-      return Errno("setsockopt(SO_RCVTIMEO)");
-    }
-  } else {
-    int rc;
-    do {
-      rc = ::connect(sock.fd(), reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr));
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) return Errno("connect");
+  Socket sock(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!sock.valid()) return Errno("socket");
+  (void)SetNoDelay(sock.fd());  // best-effort: latency, not correctness
+  // EINPROGRESS is the usual answer. An interrupted connect also goes on
+  // asynchronously, so both hand the socket back to be watched.
+  if (::connect(sock.fd(), reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr)) < 0 &&
+      errno != EINPROGRESS && errno != EINTR) {
+    return Errno("connect");
   }
-  (void)SetNoDelay(sock.fd());
   return sock;
 }
 
-Status SendAll(int fd, const char* data, size_t len) {
-  return WriteFull(fd, data, len);
-}
-
-Status WriteFull(int fd, const char* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    // send() first for the MSG_NOSIGNAL guarantee; non-socket fds (pipes
-    // in tests, spawned-process plumbing) fall back to write().
-    ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, data + sent, len - sent);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("send timed out");
-      }
-      return Errno("send");
-    }
-    sent += static_cast<size_t>(n);
+Status FinishDial(int fd) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
+    return Errno("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    errno = err;
+    return Errno("connect");
   }
   return Status::OK();
-}
-
-Result<size_t> ReadFull(int fd, char* data, size_t len) {
-  size_t got = 0;
-  while (got < len) {
-    RAFIKI_ASSIGN_OR_RETURN(size_t n, RecvSome(fd, data + got, len - got));
-    if (n == 0) {
-      if (got == 0) return static_cast<size_t>(0);  // clean shutdown
-      return Status::Internal(
-          StrFormat("peer closed mid-record: %zu of %zu bytes", got, len));
-    }
-    got += n;
-  }
-  return len;
-}
-
-Result<size_t> RecvSome(int fd, char* data, size_t len) {
-  for (;;) {
-    ssize_t n = ::recv(fd, data, len, 0);
-    if (n < 0 && errno == ENOTSOCK) n = ::read(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("recv timed out");
-      }
-      return Errno("recv");
-    }
-    return static_cast<size_t>(n);
-  }
 }
 
 }  // namespace rafiki::net

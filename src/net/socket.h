@@ -1,55 +1,12 @@
 #ifndef RAFIKI_NET_SOCKET_H_
 #define RAFIKI_NET_SOCKET_H_
 
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "common/result.h"
 
 namespace rafiki::net {
-
-/// Absolute deadline for the blocking client-side paths. Default (or
-/// `After(0)`) means "no deadline"; otherwise it is a steady-clock expiry
-/// shared across every wait of one logical operation, so a peer that
-/// dribbles bytes cannot extend the total wall time the way a per-syscall
-/// SO_RCVTIMEO can.
-class Deadline {
- public:
-  Deadline() = default;  // no deadline
-
-  /// `seconds` <= 0 yields a no-deadline Deadline.
-  static Deadline After(double seconds) {
-    Deadline d;
-    if (seconds > 0.0) {
-      d.has_deadline_ = true;
-      d.at_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds));
-    }
-    return d;
-  }
-
-  bool infinite() const { return !has_deadline_; }
-  bool expired() const {
-    return has_deadline_ && std::chrono::steady_clock::now() >= at_;
-  }
-  /// Remaining time as a poll() timeout: -1 when infinite, else >= 0,
-  /// rounded up so a wait never spins on a sub-millisecond remainder.
-  int remaining_ms() const;
-
- private:
-  bool has_deadline_ = false;
-  std::chrono::steady_clock::time_point at_{};
-};
-
-/// Blocks until `fd` is readable (readable also covers EOF/error, which
-/// recv then reports) or the deadline passes: kDeadlineExceeded on expiry.
-Status WaitReadable(int fd, const Deadline& deadline);
-/// Blocks until `fd` is writable (or has a pending error, which the caller
-/// sees via SO_ERROR or the next write) — kDeadlineExceeded on expiry.
-Status WaitWritable(int fd, const Deadline& deadline);
 
 /// Move-only RAII wrapper around a file descriptor. Closing is idempotent;
 /// a default-constructed Socket holds no fd.
@@ -98,33 +55,17 @@ Status SetNoDelay(int fd);
 /// On success `*bound_port` holds the actual port.
 Result<Socket> ListenTcp(uint16_t port, int backlog, uint16_t* bound_port);
 
-/// TCP connect to an IPv4 address ("127.0.0.1"). With `timeout_seconds`
-/// > 0 the connect itself runs nonblocking under a Deadline (a black-holed
-/// peer fails kDeadlineExceeded instead of hanging in SYN retries) and the
-/// connected socket gets matching send/receive timeouts. 0 = no deadline
-/// anywhere: a fully blocking connect (the RPC bus dials this way; its
-/// reconnect timer owns the pacing).
-Result<Socket> ConnectTcp(const std::string& host, uint16_t port,
-                          double timeout_seconds);
+/// Starts a TCP connect to an IPv4 address ("127.0.0.1") on a nonblocking
+/// socket with TCP_NODELAY and returns the socket, whose connect may still
+/// be in progress. The connect is over once the fd reports writable or an
+/// error; FinishDial then says how it ended. Nothing here waits: the caller
+/// watches the fd on its EventLoop. Fails at once on a malformed address or a connect error the kernel
+/// reports synchronously.
+Result<Socket> DialTcp(const std::string& host, uint16_t port);
 
-/// Writes all of [data, data+len) to a blocking socket (MSG_NOSIGNAL, retry
-/// on EINTR). Fails on any other error.
-Status SendAll(int fd, const char* data, size_t len);
-
-/// One recv() of at most `len` bytes, retrying EINTR. Returns the byte
-/// count (0 = orderly peer shutdown) or an error status.
-Result<size_t> RecvSome(int fd, char* data, size_t len);
-
-/// Writes all of [data, data+len), handling EINTR and partial writes.
-/// Works on sockets (MSG_NOSIGNAL, no SIGPIPE) and plain fds (pipes);
-/// a send/receive timeout on the fd maps to DeadlineExceeded.
-Status WriteFull(int fd, const char* data, size_t len);
-
-/// Reads exactly `len` bytes, handling EINTR and partial reads. Returns
-/// `len` on success and 0 when the peer closed cleanly before the first
-/// byte; a mid-record EOF is an Internal error (torn stream), and a
-/// receive timeout maps to DeadlineExceeded.
-Result<size_t> ReadFull(int fd, char* data, size_t len);
+/// The outcome of a DialTcp whose fd reported writable or an error: OK when
+/// connected, else the connect's error (SO_ERROR).
+Status FinishDial(int fd);
 
 }  // namespace rafiki::net
 

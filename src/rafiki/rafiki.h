@@ -143,8 +143,8 @@ class Rafiki {
   Status QueryAsync(const std::string& inference_job_id, Tensor features,
                     std::function<void(Result<Prediction>)> done);
 
-  /// Batch variant used by the SQL UDF; rows go through the same batched
-  /// runtime path with backpressure.
+  /// Batch variant: rows go through the same batched runtime path, and a
+  /// full queue fails the call Unavailable, as QueryAsync does.
   Result<std::vector<Prediction>> QueryBatch(
       const std::string& inference_job_id, const Tensor& features);
 

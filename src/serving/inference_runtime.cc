@@ -454,25 +454,9 @@ Result<std::vector<EnsemblePrediction>> InferenceRuntime::QueryBatch(
     Tensor row({1, dim});
     std::memcpy(row.data(), features.data() + r * dim,
                 static_cast<size_t>(dim) * sizeof(float));
-    // Backpressure: a full queue is retryable; give the dispatchers a
-    // bounded amount of time to drain before giving up on the whole batch.
-    int attempts = 0;
-    for (;;) {
-      Result<std::future<Result<EnsemblePrediction>>> submitted =
-          Submit(job_id, std::move(row));
-      if (submitted.ok()) {
-        futures.push_back(std::move(*submitted));
-        break;
-      }
-      if (!submitted.status().IsUnavailable() || ++attempts > 2000) {
-        return submitted.status();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      Tensor retry({1, dim});
-      std::memcpy(retry.data(), features.data() + r * dim,
-                  static_cast<size_t>(dim) * sizeof(float));
-      row = std::move(retry);
-    }
+    RAFIKI_ASSIGN_OR_RETURN(std::future<Result<EnsemblePrediction>> future,
+                            Submit(job_id, std::move(row)));
+    futures.push_back(std::move(future));
   }
   std::vector<EnsemblePrediction> out;
   out.reserve(futures.size());

@@ -266,10 +266,10 @@ class InferenceRuntime {
   Result<std::future<Result<EnsemblePrediction>>> Submit(
       const std::string& job_id, Tensor features);
 
-  /// Synchronous convenience for bulk callers (the SQL UDF): submits every
-  /// row of `features` [n, dim] through the batched path, applying
-  /// backpressure (bounded retries) when the queue is momentarily full,
-  /// and waits for all answers.
+  /// Synchronous convenience for bulk callers: submits every row of
+  /// `features` [n, dim] through the batched path and waits for all
+  /// answers. Fails with the first error Submit returns for a row, such as
+  /// Unavailable on a full queue; rows already queued are still answered.
   Result<std::vector<EnsemblePrediction>> QueryBatch(const std::string& job_id,
                                                      const Tensor& features);
 

@@ -1,7 +1,6 @@
 #include <set>
 
 #include "data/dataset.h"
-#include "data/preprocess.h"
 #include "gtest/gtest.h"
 
 namespace rafiki::data {
@@ -115,122 +114,6 @@ TEST(BatchIteratorTest, CoversEpochExactlyOnce) {
   EXPECT_FALSE(it.Next(&x, &labels));
   it.Reset();
   EXPECT_TRUE(it.Next(&x, &labels));
-}
-
-TEST(PreprocessTest, NormalizeZeroMeanUnitVar) {
-  SyntheticImageOptions options;
-  Dataset d = MakeSyntheticImages(options);
-  std::vector<float> mean, stddev;
-  ComputeChannelStats(d.x, &mean, &stddev);
-  NormalizeOp norm(mean, stddev);
-  Rng rng(1);
-  Tensor batch = d.x;
-  norm.Apply(&batch, rng);
-  std::vector<float> mean2, stddev2;
-  ComputeChannelStats(batch, &mean2, &stddev2);
-  for (float m : mean2) EXPECT_NEAR(m, 0.0f, 1e-3f);
-  for (float s : stddev2) EXPECT_NEAR(s, 1.0f, 1e-3f);
-}
-
-TEST(PreprocessTest, PadCropPreservesShape) {
-  SyntheticImageOptions options;
-  options.samples_per_class = 4;
-  Dataset d = MakeSyntheticImages(options);
-  Shape before = d.x.shape();
-  PadCropOp crop(4);
-  Rng rng(2);
-  crop.Apply(&d.x, rng);
-  EXPECT_EQ(d.x.shape(), before);
-}
-
-TEST(PreprocessTest, FlipAlwaysReverses) {
-  Tensor batch({1, 1, 1, 4}, {1, 2, 3, 4});
-  RandomFlipOp flip(1.0);
-  Rng rng(3);
-  flip.Apply(&batch, rng);
-  EXPECT_EQ(batch.at(0), 4.0f);
-  EXPECT_EQ(batch.at(3), 1.0f);
-}
-
-TEST(PreprocessTest, FlipNeverWhenZeroProb) {
-  Tensor batch({1, 1, 1, 4}, {1, 2, 3, 4});
-  RandomFlipOp flip(0.0);
-  Rng rng(3);
-  flip.Apply(&batch, rng);
-  EXPECT_EQ(batch.at(0), 1.0f);
-}
-
-TEST(PreprocessTest, ZeroRotationIsIdentity) {
-  SyntheticImageOptions options;
-  options.samples_per_class = 2;
-  Dataset d = MakeSyntheticImages(options);
-  Tensor before = d.x;
-  RandomRotationOp rot(0.0);
-  Rng rng(4);
-  rot.Apply(&d.x, rng);
-  for (int64_t i = 0; i < before.numel(); ++i) {
-    EXPECT_EQ(before.at(i), d.x.at(i));
-  }
-}
-
-TEST(PreprocessTest, RotationKeepsShapeAndBoundedValues) {
-  SyntheticImageOptions options;
-  options.samples_per_class = 2;
-  Dataset d = MakeSyntheticImages(options);
-  Shape shape = d.x.shape();
-  float max_before = d.x.MaxAbs();
-  RandomRotationOp rot(30.0);
-  Rng rng(5);
-  rot.Apply(&d.x, rng);
-  EXPECT_EQ(d.x.shape(), shape);
-  EXPECT_LE(d.x.MaxAbs(), max_before + 1e-5f);
-}
-
-class WhitenerParamTest : public ::testing::TestWithParam<WhitenKind> {};
-
-TEST_P(WhitenerParamTest, WhitenedCovarianceIsIdentity) {
-  // Property (Table 1 group 1 whitening): transformed training features
-  // have ~identity covariance for both PCA and ZCA.
-  SyntheticTaskOptions options;
-  options.num_classes = 3;
-  options.samples_per_class = 200;
-  options.input_dim = 6;
-  Dataset d = MakeSyntheticTask(options);
-  Whitener whitener(d.x, GetParam(), 1e-8);
-  Tensor w = d.x;
-  whitener.Apply(&w);
-  int64_t n = w.dim(0), dim = w.dim(1);
-  for (int64_t a = 0; a < dim; ++a) {
-    for (int64_t b = a; b < dim; ++b) {
-      double cov = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        cov += static_cast<double>(w.at(i * dim + a)) * w.at(i * dim + b);
-      }
-      cov /= (n - 1);
-      EXPECT_NEAR(cov, a == b ? 1.0 : 0.0, 0.05)
-          << "cov(" << a << "," << b << ")";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(BothKinds, WhitenerParamTest,
-                         ::testing::Values(WhitenKind::kPca,
-                                           WhitenKind::kZca));
-
-TEST(PipelineTest, AppliesOpsInOrder) {
-  Pipeline pipeline;
-  pipeline.Add(std::make_unique<PadCropOp>(2));
-  pipeline.Add(std::make_unique<RandomFlipOp>(0.5));
-  EXPECT_EQ(pipeline.size(), 2u);
-  EXPECT_EQ(pipeline.OpNames(),
-            (std::vector<std::string>{"pad_crop", "flip"}));
-  SyntheticImageOptions options;
-  options.samples_per_class = 2;
-  Dataset d = MakeSyntheticImages(options);
-  Shape shape = d.x.shape();
-  Rng rng(6);
-  pipeline.Apply(&d.x, rng);
-  EXPECT_EQ(d.x.shape(), shape);
 }
 
 }  // namespace

@@ -8,10 +8,10 @@
 #include "common/string_util.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
-#include "net/http_client.h"
 #include "net/http_server.h"
 #include "rafiki/http_gateway.h"
 #include "serving/rl_scheduler.h"
+#include "support/http_client.h"
 
 namespace rafiki::api {
 namespace {

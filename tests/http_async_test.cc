@@ -15,8 +15,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "net/http_client.h"
 #include "net/socket.h"
+#include "support/blocking_socket.h"
+#include "support/http_client.h"
 
 namespace rafiki::net {
 namespace {
@@ -85,7 +86,7 @@ TEST(HttpAsyncTest, OutOfOrderCompletionsWriteInRequestOrder) {
   for (size_t i = 0; i < kPipelined; ++i) {
     wire += "GET /r" + std::to_string(i) + " HTTP/1.1\r\n\r\n";
   }
-  ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   ASSERT_TRUE(stash.WaitFor(kPipelined));
 
   // Every request is admitted concurrently; nothing is on the wire yet.
@@ -138,7 +139,7 @@ TEST(HttpAsyncTest, InflightExceedsEventLoops) {
     auto sock = ConnectTcp("127.0.0.1", server.port(), 10.0);
     ASSERT_TRUE(sock.ok());
     std::string wire = "GET /c" + std::to_string(i) + " HTTP/1.1\r\n\r\n";
-    ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+    ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
     socks.push_back(std::move(*sock));
   }
   ASSERT_TRUE(stash.WaitFor(kConcurrent));
@@ -192,7 +193,7 @@ TEST(HttpAsyncTest, DrainWaitsForAsyncPendingResponse) {
   auto sock = ConnectTcp("127.0.0.1", server.port(), 10.0);
   ASSERT_TRUE(sock.ok());
   std::string wire = "GET /slow HTTP/1.1\r\n\r\n";
-  ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   ASSERT_TRUE(stash.WaitFor(1));
 
   // Complete from another thread WHILE Stop() is draining.
@@ -289,7 +290,7 @@ TEST(HttpAsyncTest, CompletionAfterStopIsDroppedSafely) {
   auto sock = ConnectTcp("127.0.0.1", server->port(), 10.0);
   ASSERT_TRUE(sock.ok());
   std::string wire = "GET /never HTTP/1.1\r\n\r\n";
-  ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   ASSERT_TRUE(stash.WaitFor(1));
 
   server->Stop();     // drain times out; the connection is force-closed

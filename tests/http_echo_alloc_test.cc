@@ -17,8 +17,8 @@
 #include <string>
 
 #include "gtest/gtest.h"
-#include "net/http_client.h"
 #include "net/http_server.h"
+#include "support/http_client.h"
 
 namespace {
 

@@ -11,8 +11,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "net/http_client.h"
 #include "net/socket.h"
+#include "support/blocking_socket.h"
+#include "support/http_client.h"
 
 namespace rafiki::net {
 namespace {
@@ -67,7 +68,7 @@ std::vector<int> RawExchange(uint16_t port, const std::string& wire,
   auto sock = ConnectTcp("127.0.0.1", port, 10.0);
   EXPECT_TRUE(sock.ok()) << sock.status().ToString();
   if (!sock.ok()) return {};
-  EXPECT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  EXPECT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   std::vector<int> statuses;
   std::string buffered;
   HttpResponseParser parser;
@@ -197,7 +198,7 @@ TEST(HttpServerTest, TornWritesReassemble) {
   // Dribble the request a few bytes at a time across separate packets.
   for (size_t i = 0; i < wire.size(); i += 3) {
     size_t n = std::min<size_t>(3, wire.size() - i);
-    ASSERT_TRUE(SendAll(sock->fd(), wire.data() + i, n).ok());
+    ASSERT_TRUE(WriteFull(sock->fd(), wire.data() + i, n).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::string buffered;
@@ -225,7 +226,7 @@ TEST(HttpServerTest, PipelinedRequestsAnsweredInOrder) {
       "GET /c HTTP/1.1\r\nConnection: close\r\n\r\n";
   auto sock = ConnectTcp("127.0.0.1", server.port(), 10.0);
   ASSERT_TRUE(sock.ok());
-  ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   std::string all;
   char buf[4096];
   for (;;) {
@@ -356,7 +357,7 @@ TEST(HttpServerTest, RequestsDuringDrainAre503) {
   }
   EXPECT_TRUE(refused) << "the listener stayed open after Stop()";
   std::string wire = "GET /late HTTP/1.1\r\n\r\n";
-  ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   std::string buffered;
   HttpResponseParser parser;
   char buf[4096];
@@ -438,7 +439,7 @@ TEST(HttpServerTest, ServeMixedInlineAndParkedCompletions) {
       "GET /inline/1 HTTP/1.1\r\n\r\n"
       "GET /parked/2 HTTP/1.1\r\n\r\n"
       "GET /inline/3 HTTP/1.1\r\n\r\n";
-  ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   std::vector<std::string> bodies;
   std::string buffered;
   HttpResponseParser parser;
@@ -498,7 +499,7 @@ TEST(HttpServerTest, TornWritevResumesMidGatherAcrossPipelinedResponses) {
   for (int i = 0; i < kRequests; ++i) {
     wire += "GET /p" + std::to_string(i) + " HTTP/1.1\r\n\r\n";
   }
-  ASSERT_TRUE(SendAll(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
   std::string buffered;
   HttpResponseParser parser;
   char buf[8192];

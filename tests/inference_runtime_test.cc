@@ -196,16 +196,22 @@ TEST(InferenceRuntimeTest, EnsembleMajorityVoteAndAccuracyTieBreak) {
   }
 }
 
+/// A queue of 4 that never flushes: the smallest batch is above capacity.
+RuntimeOptions NeverFlushingQueueOfFour() {
+  RuntimeOptions options;
+  options.tau = 30.0;  // no deadline pressure during the test
+  options.batch_sizes = {8, 16};
+  options.queue_capacity = 4;
+  options.calibrate = false;
+  return options;
+}
+
 TEST(InferenceRuntimeTest, BoundedQueueDropsWhenFull) {
   InferenceRuntime runtime;
   std::vector<ServableModel> models;
   models.push_back(MakeIdentityModel(4, 0.9, "id"));
-  RuntimeOptions options;
-  options.tau = 30.0;           // no deadline pressure during the test
-  options.batch_sizes = {8, 16};  // min batch above capacity: nothing flushes
-  options.queue_capacity = 4;
-  options.calibrate = false;
-  ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
+  ASSERT_TRUE(
+      runtime.Deploy("j", std::move(models), NeverFlushingQueueOfFour()).ok());
 
   std::vector<std::future<Result<EnsemblePrediction>>> queued;
   int rejected = 0;
@@ -234,6 +240,32 @@ TEST(InferenceRuntimeTest, BoundedQueueDropsWhenFull) {
   for (auto& future : queued) {
     EXPECT_TRUE(future.get().status().IsUnavailable());
   }
+}
+
+TEST(InferenceRuntimeTest, QueryBatchReturnsTheFirstUnavailable) {
+  // Like Submit, QueryBatch fails at the first row a full queue refuses
+  // instead of waiting for room.
+  InferenceRuntime runtime;
+  std::vector<ServableModel> models;
+  models.push_back(MakeIdentityModel(4, 0.9, "id"));
+  ASSERT_TRUE(
+      runtime.Deploy("j", std::move(models), NeverFlushingQueueOfFour()).ok());
+
+  auto start = std::chrono::steady_clock::now();
+  auto batch = runtime.QueryBatch("j", Tensor({6, 4}));
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsUnavailable()) << batch.status().ToString();
+  EXPECT_LT(elapsed, 0.5);
+
+  // Four rows queued and the fifth was refused; the sixth never arrived.
+  auto metrics = runtime.Metrics("j");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics->arrived, 5);
+  EXPECT_EQ(metrics->dropped, 1);
+  ASSERT_TRUE(runtime.Undeploy("j").ok());
 }
 
 TEST(InferenceRuntimeTest, ConcurrentSubmitStormConservesAccounting) {

@@ -2,15 +2,13 @@
 //  * CoStudy over the REAL MLP trainer with an architecture knob, so warm
 //    starts must shape-match across different hidden widths through the
 //    parameter server (§4.2.2's architecture-tuning scenario);
-//  * Conv2D training on the synthetic image task through the
-//    preprocessing pipeline (Table 1 group 1 + group 2 together);
+//  * Conv2D training on the synthetic image task;
 //  * the facade with every advisor kind.
 
 #include <memory>
 
 #include "cluster/message_bus.h"
 #include "data/dataset.h"
-#include "data/preprocess.h"
 #include "gtest/gtest.h"
 #include "nn/loss.h"
 #include "nn/net.h"
@@ -71,7 +69,7 @@ TEST(IntegrationTest, CoStudyWithArchitectureKnobOnRealTrainer) {
   EXPECT_TRUE(ps.GetModel("study/arch/best").ok());
 }
 
-TEST(IntegrationTest, ConvNetLearnsImagesThroughPipeline) {
+TEST(IntegrationTest, ConvNetLearnsImages) {
   data::SyntheticImageOptions image_options;
   image_options.num_classes = 3;
   image_options.samples_per_class = 30;
@@ -80,14 +78,6 @@ TEST(IntegrationTest, ConvNetLearnsImagesThroughPipeline) {
   image_options.width = 8;
   image_options.noise = 0.2;
   data::Dataset images = data::MakeSyntheticImages(image_options);
-
-  // Table 1 group 1 pipeline: standardize + light augmentation.
-  std::vector<float> mean, stddev;
-  data::ComputeChannelStats(images.x, &mean, &stddev);
-  data::Pipeline pipeline;
-  pipeline.Add(std::make_unique<data::NormalizeOp>(mean, stddev));
-  pipeline.Add(std::make_unique<data::PadCropOp>(1));
-  pipeline.Add(std::make_unique<data::RandomFlipOp>(0.5));
 
   Rng rng(11);
   nn::Net net;
@@ -111,7 +101,6 @@ TEST(IntegrationTest, ConvNetLearnsImagesThroughPipeline) {
     Tensor x;
     std::vector<int64_t> labels;
     while (batches.Next(&x, &labels)) {
-      pipeline.Apply(&x, rng);
       net.ZeroGrad();
       nn::LossResult loss = nn::SoftmaxCrossEntropy(net.Forward(x, true),
                                                     labels);

@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "net/http_server.h"
+#include "support/blocking_socket.h"
 
 namespace rafiki::net {
 namespace {
@@ -221,11 +222,11 @@ TEST(LoadGenTest, FullConnectionBacklogsThenDropsAndChargesTheWait) {
 TEST(LoadGenTest, ReactorEmitsTheFullScheduleAtEightyThousandPerSecond) {
   // The reactor pacer's contract: at high rates the *schedule* is emitted
   // in full — arrived tracks rate * duration even when nothing answers
-  // (the port is dead, and every arrival errors after its own failed
-  // connect). That connect work, on the one reactor thread, must not
-  // silently depress the arrival rate.
+  // (the port is dead: every dial the reactor starts fails, and the
+  // arrivals queued on it count as errors). That dial work, on the one
+  // reactor thread, must not silently depress the arrival rate.
   LoadGenOptions opts;
-  opts.port = 1;  // no listener: connect fails immediately
+  opts.port = 1;  // no listener: every dial is refused
   opts.duration_seconds = 0.5;
   opts.target_rate = 80e3;
   opts.sine_period = 0.0;
@@ -238,6 +239,50 @@ TEST(LoadGenTest, ReactorEmitsTheFullScheduleAtEightyThousandPerSecond) {
       << report.ToString();
   EXPECT_GE(report.arrived, static_cast<int64_t>(50e3 * opts.duration_seconds))
       << report.ToString();
+}
+
+TEST(LoadGenTest, DialsToABlackHoledPeerTimeOutOnTheReactor) {
+  // Every dial stays in progress, so each fails on its own loop timer
+  // while the schedule runs on: the run lasts duration + timeout, not one
+  // timeout per arrival, and every arrival is accounted for.
+  auto hole = MakeFullAcceptQueue();
+  ASSERT_TRUE(hole.ok()) << hole.status().ToString();
+  LoadGenOptions opts;
+  opts.port = hole->port;
+  opts.connections = 2;
+  opts.target_rate = 50.0;
+  opts.sine_period = 0.0;
+  opts.duration_seconds = 0.5;
+  opts.timeout_seconds = 0.2;
+  auto start = std::chrono::steady_clock::now();
+  LoadGenReport report = RunLoadGen(opts);
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_LT(elapsed, 1.0) << report.ToString();
+  EXPECT_GT(report.arrived, 0) << report.ToString();
+  EXPECT_EQ(report.completed, 0) << report.ToString();
+  EXPECT_EQ(report.arrived,
+            report.completed + report.errors + report.dropped)
+      << report.ToString();
+}
+
+TEST(LoadGenTest, ClosedLoopDoesNotRedialAFailedDial) {
+  // A closed-loop connection whose dial fails stays out of the run, so a
+  // run against a dead port ends before its duration, having sent nothing.
+  LoadGenOptions opts;
+  opts.port = 1;  // no listener: every dial is refused
+  opts.open_loop = false;
+  opts.connections = 2;
+  opts.duration_seconds = 2.0;
+  auto start = std::chrono::steady_clock::now();
+  LoadGenReport report = RunLoadGen(opts);
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_LT(elapsed, 1.0) << report.ToString();
+  EXPECT_EQ(report.arrived, 0) << report.ToString();
+  EXPECT_EQ(report.errors, 0) << report.ToString();
 }
 
 }  // namespace

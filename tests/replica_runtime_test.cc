@@ -19,7 +19,6 @@
 
 #include "common/string_util.h"
 #include "gtest/gtest.h"
-#include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/loadgen.h"
 #include "net/socket.h"
@@ -28,6 +27,7 @@
 #include "rafiki/http_gateway.h"
 #include "serving/greedy_batch.h"
 #include "serving/inference_runtime.h"
+#include "support/blocking_socket.h"
 
 namespace rafiki::serving {
 namespace {
@@ -473,7 +473,7 @@ TEST(ReplicaRuntimeTest, PipelinedHttpResponsesStayInSubmitOrder) {
               "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" +
               body;
     }
-    ASSERT_TRUE(net::SendAll(sock->fd(), wire.data(), wire.size()).ok());
+    ASSERT_TRUE(net::WriteFull(sock->fd(), wire.data(), wire.size()).ok());
     auto responses = ReadResponses(sock->fd(), kPipelined);
     ASSERT_EQ(responses.size(), kPipelined) << "round " << round;
     for (size_t i = 0; i < kPipelined; ++i) {

@@ -6,6 +6,7 @@
 
 #include "cluster/message_bus.h"
 #include "gtest/gtest.h"
+#include "support/blocking_socket.h"
 
 namespace rafiki::cluster {
 namespace {
@@ -167,6 +168,23 @@ TEST(RpcBusTest, LeafReconnectsAfterHubRestart) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->trial_id, 3);
   EXPECT_GE(leaf.value()->Stats().reconnects, 1u);
+}
+
+TEST(RpcBusTest, DialToABlackHoledHubBlocksNeitherConnectNorShutdown) {
+  // The leaf's SYNs are dropped, so its dial stays in progress. It runs on
+  // the bus's loop: Connect returns at once, and the destructor closes the
+  // pending dial instead of waiting out the kernel's SYN retries.
+  auto hole = net::MakeFullAcceptQueue();
+  ASSERT_TRUE(hole.ok()) << hole.status().ToString();
+  RpcBusOptions opts;
+  opts.port = hole->port;
+  auto start = std::chrono::steady_clock::now();
+  {
+    auto leaf = RpcBus::Connect(opts);
+    ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+    EXPECT_FALSE(leaf.value()->connected());
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
 }
 
 TEST(RpcBusTest, LocalMailboxIsBounded) {

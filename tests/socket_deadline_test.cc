@@ -5,8 +5,9 @@
 #include <thread>
 
 #include "gtest/gtest.h"
-#include "net/http_client.h"
 #include "net/socket.h"
+#include "support/blocking_socket.h"
+#include "support/http_client.h"
 
 namespace rafiki::net {
 namespace {
@@ -68,6 +69,19 @@ TEST(DeadlineTest, ConnectTcpWithTimeoutStillConnects) {
   auto sock = ConnectTcp("127.0.0.1", port, 0.5);
   ASSERT_TRUE(sock.ok()) << sock.status().message();
   EXPECT_TRUE(sock->valid());
+}
+
+TEST(DeadlineTest, ConnectTcpTimesOutOnAFullAcceptQueue) {
+  // The kernel drops the SYN, so only the deadline ends the connect.
+  auto hole = MakeFullAcceptQueue();
+  ASSERT_TRUE(hole.ok()) << hole.status().message();
+  auto start = std::chrono::steady_clock::now();
+  auto sock = ConnectTcp("127.0.0.1", hole->port, 0.2);
+  ASSERT_FALSE(sock.ok());
+  EXPECT_EQ(sock.status().code(), StatusCode::kDeadlineExceeded)
+      << sock.status().message();
+  EXPECT_GE(Elapsed(start), 0.15);
+  EXPECT_LT(Elapsed(start), 2.0);
 }
 
 TEST(DeadlineTest, HttpClientReadDeadlineExceededOnSilentServer) {

@@ -1,18 +1,14 @@
 #include "net/socket.h"
 
-#include <fcntl.h>
 #include <sys/socket.h>
-#include <pthread.h>
 #include <signal.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "gtest/gtest.h"
+#include "support/blocking_socket.h"
 
 namespace rafiki::net {
 namespace {
@@ -36,56 +32,15 @@ struct Pipe {
   }
 };
 
-TEST(SocketIoTest, WriteFullThenReadFullRoundTrips) {
-  Pipe p;
-  std::string data(4096, '\0');
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<char>(i * 31);
+/// Reads exactly `len` bytes; false when EOF or an error comes first.
+bool RecvExactly(int fd, char* data, size_t len) {
+  size_t got = 0;
+  while (got < len) {
+    Result<size_t> n = RecvSome(fd, data + got, len - got);
+    if (!n.ok() || n.value() == 0) return false;
+    got += n.value();
   }
-  ASSERT_TRUE(WriteFull(p.write_fd(), data.data(), data.size()).ok());
-  std::string got(data.size(), '\0');
-  auto n = ReadFull(p.read_fd(), got.data(), got.size());
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(n.value(), data.size());
-  EXPECT_EQ(got, data);
-}
-
-TEST(SocketIoTest, ReadFullReassemblesPartialWrites) {
-  // The writer dribbles the record in small chunks with pauses; ReadFull
-  // must keep reading until the full length arrives.
-  Pipe p;
-  std::string data(1000, 'r');
-  std::thread writer([&] {
-    for (size_t pos = 0; pos < data.size(); pos += 100) {
-      ASSERT_TRUE(WriteFull(p.write_fd(), data.data() + pos, 100).ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  std::string got(data.size(), '\0');
-  auto n = ReadFull(p.read_fd(), got.data(), got.size());
-  writer.join();
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(n.value(), data.size());
-  EXPECT_EQ(got, data);
-}
-
-TEST(SocketIoTest, ReadFullCleanEofBeforeFirstByteReturnsZero) {
-  Pipe p;
-  p.CloseWrite();
-  char buf[16];
-  auto n = ReadFull(p.read_fd(), buf, sizeof(buf));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(n.value(), 0u);
-}
-
-TEST(SocketIoTest, ReadFullMidRecordEofIsTornStream) {
-  Pipe p;
-  ASSERT_TRUE(WriteFull(p.write_fd(), "abc", 3).ok());
-  p.CloseWrite();
-  char buf[16];
-  auto n = ReadFull(p.read_fd(), buf, sizeof(buf));
-  ASSERT_FALSE(n.ok());
-  EXPECT_EQ(n.status().code(), StatusCode::kInternal);
+  return true;
 }
 
 TEST(SocketIoTest, WriteFullIntoClosedPipeFails) {
@@ -105,46 +60,11 @@ TEST(SocketIoTest, WriteFullHandlesPartialKernelWrites) {
   std::string data(1 << 20, 'w');
   std::string got(data.size(), '\0');
   std::thread reader([&] {
-    auto n = ReadFull(p.read_fd(), got.data(), got.size());
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(n.value(), got.size());
+    EXPECT_TRUE(RecvExactly(p.read_fd(), got.data(), got.size()));
   });
   ASSERT_TRUE(WriteFull(p.write_fd(), data.data(), data.size()).ok());
   reader.join();
   EXPECT_EQ(got, data);
-}
-
-std::atomic<int> g_signals_seen{0};
-
-TEST(SocketIoTest, ReadFullRetriesOnEintr) {
-  // Install a no-op SIGUSR1 handler WITHOUT SA_RESTART so a blocked read()
-  // actually returns EINTR, then pepper the blocked reader with signals.
-  struct sigaction action;
-  std::memset(&action, 0, sizeof(action));
-  action.sa_handler = [](int) { g_signals_seen.fetch_add(1); };
-  action.sa_flags = 0;  // no SA_RESTART: read() must see EINTR
-  ASSERT_EQ(sigaction(SIGUSR1, &action, nullptr), 0);
-
-  Pipe p;
-  std::string got(8, '\0');
-  std::atomic<bool> done{false};
-  Result<size_t> result = Status::Internal("unset");
-  std::thread reader([&] {
-    result = ReadFull(p.read_fd(), got.data(), got.size());
-    done.store(true);
-  });
-  pthread_t handle = reader.native_handle();
-  // Interrupt the blocked read several times before any data arrives.
-  for (int i = 0; i < 20 && !done.load(); ++i) {
-    pthread_kill(handle, SIGUSR1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(WriteFull(p.write_fd(), "12345678", 8).ok());
-  reader.join();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value(), 8u);
-  EXPECT_EQ(got, "12345678");
-  signal(SIGUSR1, SIG_DFL);
 }
 
 TEST(SocketIoTest, TcpListenConnectRoundTrip) {
@@ -153,23 +73,36 @@ TEST(SocketIoTest, TcpListenConnectRoundTrip) {
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   ASSERT_GT(port, 0);
 
-  auto client = ConnectTcp("127.0.0.1", port, 5.0);
+  // The dial returns before the handshake is done; writable means done.
+  auto client = DialTcp("127.0.0.1", port);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(WaitWritable(client->fd(), Deadline::After(5.0)).ok());
+  ASSERT_TRUE(FinishDial(client->fd()).ok());
 
-  // The listener is nonblocking; poll-accept until the connection lands.
-  int server_fd = -1;
-  for (int i = 0; i < 500 && server_fd < 0; ++i) {
-    server_fd = accept(listener.value().fd(), nullptr, nullptr);
-    if (server_fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_GE(server_fd, 0);
-  Socket server(server_fd);
+  ASSERT_TRUE(WaitReadable(listener->fd(), Deadline::After(5.0)).ok());
+  Socket server(accept(listener->fd(), nullptr, nullptr));
+  ASSERT_TRUE(server.valid());
 
-  ASSERT_TRUE(WriteFull(client.value().fd(), "ping", 4).ok());
+  ASSERT_TRUE(WriteFull(client->fd(), "ping", 4).ok());
   char buf[4];
-  auto n = ReadFull(server.fd(), buf, 4);
-  ASSERT_TRUE(n.ok());
+  ASSERT_TRUE(RecvExactly(server.fd(), buf, 4));
   EXPECT_EQ(std::string(buf, 4), "ping");
+}
+
+TEST(SocketIoTest, DialToAClosedPortFailsAtStartOrAtFinish) {
+  uint16_t port = 0;
+  {
+    auto listener = ListenTcp(0, 4, &port);
+    ASSERT_TRUE(listener.ok());
+  }  // closed: nothing listens on `port` now
+  auto client = DialTcp("127.0.0.1", port);
+  if (!client.ok()) return;  // the kernel refused synchronously
+  ASSERT_TRUE(WaitWritable(client->fd(), Deadline::After(5.0)).ok());
+  EXPECT_FALSE(FinishDial(client->fd()).ok());
+}
+
+TEST(SocketIoTest, DialRejectsAHostName) {
+  EXPECT_TRUE(DialTcp("localhost", 80).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-#include "net/http_client.h"
+#include "support/http_client.h"
 
 #include <utility>
 
 #include "common/string_util.h"
+#include "support/blocking_socket.h"
 
 namespace rafiki::net {
 

@@ -1,5 +1,5 @@
-#ifndef RAFIKI_NET_HTTP_CLIENT_H_
-#define RAFIKI_NET_HTTP_CLIENT_H_
+#ifndef RAFIKI_TESTS_SUPPORT_HTTP_CLIENT_H_
+#define RAFIKI_TESTS_SUPPORT_HTTP_CLIENT_H_
 
 #include <cstdint>
 #include <string>
@@ -10,9 +10,9 @@
 
 namespace rafiki::net {
 
-/// Small blocking HTTP/1.1 client for tests and tooling. One instance owns
-/// one keep-alive connection, reconnecting transparently when the server
-/// closed it between requests. Not thread-safe; use one per thread.
+/// Small blocking HTTP/1.1 client for tests. One instance owns one
+/// keep-alive connection, reconnecting transparently when the server closed
+/// it between requests. Not thread-safe; use one per thread.
 class HttpClient {
  public:
   HttpClient(std::string host, uint16_t port, double timeout_seconds = 20.0);
@@ -61,4 +61,4 @@ class HttpClient {
 
 }  // namespace rafiki::net
 
-#endif  // RAFIKI_NET_HTTP_CLIENT_H_
+#endif  // RAFIKI_TESTS_SUPPORT_HTTP_CLIENT_H_
