@@ -22,7 +22,6 @@
 #include "net/http.h"
 #include "net/http_server.h"
 #include "net/loadgen.h"
-#include "net/timer_wheel.h"
 #include "nn/loss.h"
 #include "rafiki/gateway.h"
 #include "rafiki/http_gateway.h"
@@ -506,36 +505,6 @@ void BM_HttpParse(benchmark::State& state) {
                           static_cast<int64_t>(wire.size()));
 }
 BENCHMARK(BM_HttpParse)->Arg(0)->Arg(1);
-
-// The reactor's timer substrate at steady state: every iteration is one
-// 1 ms tick crossing over a constant working set of `Arg` live timers
-// (deadlines spread across wheel levels), plus one schedule/cancel pair —
-// the idle-timeout re-arm pattern every HTTP connection now exercises.
-// Fired timers are immediately replaced so the set never drains.
-void BM_TimerWheel(benchmark::State& state) {
-  const auto live = static_cast<size_t>(state.range(0));
-  net::TimerWheel wheel;  // 1 ms ticks
-  Rng rng(42);
-  size_t fired = 0;
-  auto count_fire = [&fired] { ++fired; };
-  for (size_t i = 0; i < live; ++i) {
-    wheel.Schedule(rng.Uniform(1e-3, 2.0), count_fire);
-  }
-  double now = 0.0;
-  for (auto _ : state) {
-    now += 1e-3;
-    // The cancel-on-activity pattern: arm a deadline, activity cancels it.
-    net::TimerId id = wheel.Schedule(1.0, count_fire);
-    benchmark::DoNotOptimize(wheel.Cancel(id));
-    fired = 0;
-    wheel.Advance(now);
-    for (size_t i = 0; i < fired; ++i) {
-      wheel.Schedule(rng.Uniform(1e-3, 2.0), count_fire);
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TimerWheel)->Arg(16)->Arg(1024);
 
 void BM_HyperSpaceSample(benchmark::State& state) {
   tuning::HyperSpace space;

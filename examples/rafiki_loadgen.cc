@@ -3,8 +3,8 @@
 // report windowed arrived/completed/overdue/rejected/dropped plus latency
 // percentiles.
 //
-//   ./build/examples/rafiki_loadgen --port=8080 --target=/jobs/i0/metrics \
-//       --rate=500 --duration=10 --period=60
+//   ./build/examples/rafiki_loadgen --port=8080 --rate=500 --duration=10
+//       --period=60 --target=/jobs/i0/metrics     (one command line)
 //   ./build/examples/rafiki_loadgen --port=8080 --closed --connections=8
 //
 // --fail-on-error makes a non-zero exit when any request failed with a

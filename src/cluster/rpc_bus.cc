@@ -337,8 +337,8 @@ void RpcBus::CloseConn(int fd) {
     }
   }
   if (!is_hub_) {
-    // Loop-thread-only state: retry at the next tick, then back off. The
-    // wheel timer IS the deadline — no polling tick rounds it up.
+    // Loop-thread-only state: retry without delay, then back off. The loop
+    // timer IS the deadline — no polling tick rounds it up.
     backoff_ = options_.reconnect_initial;
     ScheduleReconnect(std::chrono::milliseconds(0));
   }

@@ -60,7 +60,7 @@ struct RpcBusOptions {
 ///
 /// All Bus methods are thread-safe; the reactor runs on one internal
 /// thread woken when senders enqueue outbound frames (outboxes flush in
-/// the loop's end-of-tick hook). Reconnect backoff is a one-shot wheel
+/// the loop's end-of-tick hook). Reconnect backoff is a one-shot loop
 /// timer, so a downed hub is re-dialed at the exact deadline — there is no
 /// safety polling tick. A dial never blocks that thread: it completes on
 /// EPOLLOUT, bounded by the kernel's SYN retries, and Shutdown() closes a

@@ -4,8 +4,8 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <ctime>
 #include <limits>
@@ -32,9 +32,7 @@ uint64_t MakeToken(uint32_t gen, int fd) {
 }  // namespace
 
 EventLoop::EventLoop(Options options)
-    : clock_(std::move(options.clock)),
-      wheel_(options.tick_seconds, 0.0),
-      events_(kEpollBatch) {
+    : clock_(std::move(options.clock)), events_(kEpollBatch) {
   if (!clock_) {
     auto epoch = std::chrono::steady_clock::now();
     clock_ = [epoch] {
@@ -43,7 +41,6 @@ EventLoop::EventLoop(Options options)
           .count();
     };
   }
-  wheel_.Advance(clock_());
   epoll_fd_ = ::epoll_create1(0);
   RAFIKI_CHECK_GE(epoll_fd_, 0) << "epoll_create1: " << std::strerror(errno);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
@@ -139,14 +136,27 @@ void EventLoop::Post(Task task) {
   if (need_wake) Wake();
 }
 
-void EventLoop::PostDelayed(double delay, Task task) {
-  if (IsInLoopThread()) {
-    wheel_.Schedule(delay, std::move(task));
-    return;
+TimerId EventLoop::RunAfter(double delay, Task task) {
+  TimerId id{clock_() + std::max(delay, 0.0), next_timer_seq_++};
+  timers_.emplace(id, std::move(task));
+  return id;
+}
+
+void EventLoop::FireTimers(double now) {
+  // A timer armed by a callback below has a seq of at least `armed_before`
+  // and, as delays are clamped at 0 and the clock does not go back, a
+  // deadline of at least `now`. It sorts after every timer that was armed
+  // before this call and is due now, so stopping at it skips none of them.
+  const uint64_t armed_before = next_timer_seq_;
+  while (!timers_.empty()) {
+    auto it = timers_.begin();
+    if (it->first.deadline > now || it->first.seq >= armed_before) break;
+    // Unlinked before it runs, so the callback may cancel it (a no-op),
+    // cancel a sibling due on this tick, or arm new timers.
+    Task task = std::move(it->second);
+    timers_.erase(it);
+    task();
   }
-  Post([this, delay, t = std::move(task)]() mutable {
-    wheel_.Schedule(delay, std::move(t));
-  });
 }
 
 void EventLoop::Wake() {
@@ -177,13 +187,12 @@ void EventLoop::DrainPosted() {
 int EventLoop::PollOnce(double max_wait_seconds) {
   owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
 
-  // Sleep exactly until the next timer deadline (or the caller's cap) —
+  // Sleep exactly until the earliest timer deadline (or the caller's cap),
   // never a safety tick. The timeout is a timespec, so a sub-millisecond
   // wait is not rounded up to a whole millisecond.
   double wait = max_wait_seconds;
-  double next = wheel_.NextDeadline();
-  if (std::isfinite(next)) {
-    wait = std::min(wait, next - clock_());
+  if (!timers_.empty()) {
+    wait = std::min(wait, timers_.begin()->first.deadline - clock_());
   }
   if (has_posted_.load(std::memory_order_acquire) ||
       stop_.load(std::memory_order_acquire)) {
@@ -238,7 +247,7 @@ int EventLoop::PollOnce(double max_wait_seconds) {
     (*cb)(events_[i].events);
   }
 
-  wheel_.Advance(clock_());
+  FireTimers(clock_());
 
   if (tick_end_hook_) tick_end_hook_();
   retired_callbacks_.clear();

@@ -3,42 +3,54 @@
 
 #include <atomic>
 #include <chrono>
+#include <compare>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "net/timer_wheel.h"
 
 struct epoll_event;
 
 namespace rafiki::net {
+
+/// Names one pending timer by its deadline and the order it was armed in,
+/// which is also its key in the loop's timer map. The default value names
+/// no timer, so cancelling it is a harmless no-op.
+struct TimerId {
+  double deadline = 0.0;
+  uint64_t seq = 0;
+  auto operator<=>(const TimerId&) const = default;
+};
 
 /// The one reactor under the HTTP server, the RPC bus, and the load
 /// generator. An EventLoop owns:
 ///
 ///   * an epoll instance with fd watchers (read and/or write interest,
 ///     modify/remove safe during dispatch via a per-slot generation tag);
-///   * a hierarchical TimerWheel, so every deadline in the process fires
-///     at its exact tick instead of being noticed by a safety poll;
+///   * one-shot timers ordered by (deadline, arm order), so every deadline
+///     in the process fires on the first tick that reaches it instead of
+///     being noticed by a safety poll;
 ///   * a cross-thread task mailbox (eventfd wake + scratch-swap vectors),
 ///     so other threads Post() work instead of sharing state;
 ///   * a tick-end hook that runs after fd dispatch and timer expiry —
 ///     clients park their end-of-tick gather-flush there.
 ///
-/// Each wait is an epoll_pwait2 with a nanosecond timeout, so a caller's
+/// Each wait is an epoll_pwait2 with a nanosecond timeout, capped at the
+/// earliest timer deadline, so neither a timer nor a caller's
 /// sub-millisecond cap (the load generator's next scheduled arrival) is
-/// honoured rather than rounded up to the next millisecond.
+/// rounded up to the next millisecond.
 ///
 /// Threading: one thread owns the loop (the one inside Run(), or whoever
 /// calls PollOnce()). Watchers, timers, and the hook are owner-thread-only.
-/// Post(), PostDelayed(), Wake(), and Stop() are safe from any thread.
+/// Post(), Wake(), and Stop() are safe from any thread.
 ///
-/// The steady-state tick is allocation-free: the event array, mailbox
-/// scratch, watcher table, and wheel nodes are all reused.
+/// A tick that arms no timer is allocation-free: the event array, mailbox
+/// scratch and watcher table are all reused.
 class EventLoop {
  public:
   using Task = std::function<void()>;
@@ -46,9 +58,7 @@ class EventLoop {
   using IoCallback = std::function<void(uint32_t events)>;
 
   struct Options {
-    /// Timer granularity; deadlines round up to the next tick.
-    double tick_seconds = 1e-3;
-    /// Time source for Now() and the wheel. Defaults to a monotonic clock
+    /// Time source for Now() and the timers. Defaults to a monotonic clock
     /// with epoch at loop construction. Tests inject a fake clock here and
     /// drive PollOnce() for deterministic timer firing.
     std::function<double()> clock;
@@ -78,26 +88,21 @@ class EventLoop {
 
   // --- timers (owner thread) ---
 
-  TimerId RunAfter(double delay, Task task) {
-    return wheel_.Schedule(delay, std::move(task));
-  }
-  TimerId RunAt(double when, Task task) {
-    return wheel_.ScheduleAt(when, std::move(task));
-  }
-  TimerId RunEvery(double interval, Task task) {
-    return wheel_.SchedulePeriodic(interval, std::move(task));
-  }
-  bool CancelTimer(TimerId id) { return wheel_.Cancel(id); }
-  TimerWheel& wheel() { return wheel_; }
+  /// Runs `task` once, on the first tick whose clock reading is at or past
+  /// Now() + `delay` (a negative delay counts as 0). Timers due on one tick
+  /// fire in deadline order, and timers with the same deadline in the
+  /// order they were armed. A timer armed by a timer callback fires on a
+  /// later tick, never the current one.
+  TimerId RunAfter(double delay, Task task);
+  /// O(log n). Returns false when `id` already fired, was cancelled, or
+  /// names no timer. Safe from inside any timer callback.
+  bool CancelTimer(TimerId id) { return timers_.erase(id) > 0; }
 
   // --- cross-thread ---
 
   /// Enqueues `task` to run on the loop thread at the start of its next
   /// tick (before fd dispatch) and wakes the loop.
   void Post(Task task);
-  /// Post() + RunAfter() from any thread: the delay is measured from when
-  /// the loop thread processes the post, i.e. one wakeup after now.
-  void PostDelayed(double delay, Task task);
   /// Forces the current/next epoll wait to return immediately.
   void Wake();
   /// Makes Run() return after finishing the current tick.
@@ -112,10 +117,10 @@ class EventLoop {
   /// Ticks until Stop(). Claims the calling thread as owner until it
   /// returns.
   void Run();
-  /// One tick: sleep at most `max_wait_seconds` (capped by the next timer
-  /// deadline; pass 0 to poll), then drain mailbox, dispatch fd events,
-  /// expire timers, and run the end hook. Returns the number of fd events
-  /// dispatched. This is the deterministic-test entry point.
+  /// One tick: sleep at most `max_wait_seconds` (capped by the earliest
+  /// timer deadline; pass 0 to poll), then drain mailbox, dispatch fd
+  /// events, fire due timers, and run the end hook. Returns the number of
+  /// fd events dispatched. This is the deterministic-test entry point.
   int PollOnce(double max_wait_seconds);
 
   double Now() const { return clock_(); }
@@ -140,9 +145,15 @@ class EventLoop {
 
   void DrainPosted();
   Status EpollCtl(int op, int fd, const Watcher& w);
+  /// Fires, in key order, every timer due at `now` that was armed before
+  /// this call.
+  void FireTimers(double now);
 
   std::function<double()> clock_;
-  TimerWheel wheel_;
+
+  /// Pending timers in firing order; the first key is the next deadline.
+  std::map<TimerId, Task> timers_;
+  uint64_t next_timer_seq_ = 1;  // seq 0 is the default, "no timer", id
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

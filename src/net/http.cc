@@ -68,17 +68,6 @@ void AppendUint(uint64_t v, std::string* out) {
   while (n > 0) out->push_back(buf[--n]);
 }
 
-/// Appends the lowercase hex form of `v` (no leading zeros).
-void AppendHex(uint64_t v, std::string* out) {
-  char buf[16];
-  size_t n = 0;
-  do {
-    buf[n++] = "0123456789abcdef"[v & 0xf];
-    v >>= 4;
-  } while (v != 0);
-  while (n > 0) out->push_back(buf[--n]);
-}
-
 /// Strict non-negative integer parse for Content-Length.
 bool ParseContentLength(const char* s, size_t n, size_t* out) {
   if (n == 0 || n > 18) return false;
@@ -195,37 +184,6 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive) {
   out += response.body;
   return out;
 }
-
-void SerializeChunkedResponseHeadersTo(const HttpResponse& response,
-                                       bool keep_alive, std::string* out) {
-  out->clear();
-  out->append("HTTP/1.1 ");
-  AppendUint(static_cast<uint64_t>(response.status), out);
-  out->push_back(' ');
-  out->append(ReasonPhrase(response.status));
-  out->append("\r\nContent-Type: ");
-  out->append(response.content_type);
-  out->append("\r\nTransfer-Encoding: chunked\r\nConnection: ");
-  out->append(keep_alive ? "keep-alive" : "close");
-  out->append("\r\n");
-  for (const auto& [name, value] : response.headers) {
-    out->append(name);
-    out->append(": ");
-    out->append(value);
-    out->append("\r\n");
-  }
-  out->append("\r\n");
-}
-
-void AppendChunk(std::string_view data, std::string* out) {
-  if (data.empty()) return;
-  AppendHex(data.size(), out);
-  out->append("\r\n");
-  out->append(data.data(), data.size());
-  out->append("\r\n");
-}
-
-void AppendLastChunk(std::string* out) { out->append("0\r\n\r\n"); }
 
 void SerializeRequestTo(const std::string& method, const std::string& target,
                         const std::string& host, const std::string& body,

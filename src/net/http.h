@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,22 +63,6 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 /// concatenates the body.
 void SerializeResponseHeadersTo(const HttpResponse& response, bool keep_alive,
                                 std::string* out);
-
-/// Chunked Transfer-Encoding serialization (streaming responses, the wire
-/// format ROADMAP item 3's tumbling-window results ride on). The header
-/// block advertises `Transfer-Encoding: chunked` in place of
-/// Content-Length (`response.body` is ignored); the body is then streamed
-/// as AppendChunk frames and closed with AppendLastChunk.
-void SerializeChunkedResponseHeadersTo(const HttpResponse& response,
-                                       bool keep_alive, std::string* out);
-
-/// Appends one chunk frame — `<hex-size>\r\n<data>\r\n` — to `*out`.
-/// Empty `data` is a no-op: a zero-size chunk means end-of-body on the
-/// wire, which is AppendLastChunk's job.
-void AppendChunk(std::string_view data, std::string* out);
-
-/// Appends the terminating zero chunk (`0\r\n\r\n`, no trailers).
-void AppendLastChunk(std::string* out);
 
 /// Wire form of a client request (Host, Content-Length, Connection).
 std::string SerializeRequest(const std::string& method,

@@ -420,13 +420,13 @@ void HttpServer::OnIdleTimer(Worker& w, uint64_t conn_id) {
     return;
   }
   // Activity moved the deadline since this timer was armed (the hot path
-  // only writes last_activity — it never touches the wheel): re-arm for
-  // exactly the remaining window.
-  double remaining = std::max(opts_.idle_timeout_seconds - idle,
-                              w.loop->wheel().tick_seconds());
-  c.idle_timer = w.loop->RunAfter(remaining, [this, &w, conn_id] {
-    OnIdleTimer(w, conn_id);
-  });
+  // only writes last_activity; it never touches a timer): re-arm for
+  // exactly the rest of the window. A busy connection cannot time out
+  // until its responses are out, so it waits a whole window more.
+  double wait = c.busy() ? opts_.idle_timeout_seconds
+                         : opts_.idle_timeout_seconds - idle;
+  c.idle_timer = w.loop->RunAfter(
+      wait, [this, &w, conn_id] { OnIdleTimer(w, conn_id); });
 }
 
 void HttpServer::CloseConnection(Worker& w, Connection& c) {
@@ -715,7 +715,7 @@ void HttpServer::WorkerLoop(int index) {
   // New fds and off-thread completions arrive as posted tasks, which run
   // at the top of every tick, before fd dispatch. Connection events (and,
   // on worker 0, the listener's) arrive through per-fd callbacks; idle and
-  // drain deadlines through wheel timers. No safety timeout remains: every
+  // drain deadlines through loop timers. No safety timeout remains: every
   // wakeup is an event, a posted task, or an exact timer deadline.
   loop.SetTickEndHook([this, &w, &loop] {
     // Handlers that completed inline during this tick: file their

@@ -241,11 +241,11 @@ class HttpServer {
     /// sendmsg per completion.
     bool flush_pending = false;
     double last_activity = 0.0;
-    /// One-shot idle timer on the worker's wheel. The hot path only
+    /// One-shot idle timer on the worker's loop. The hot path only
     /// refreshes `last_activity`; when the timer fires it either closes a
     /// truly idle connection or re-arms itself for the remaining window
     /// (lazy re-arm: zero timer churn per request).
-    TimerId idle_timer = 0;
+    TimerId idle_timer;
 
     Connection(HttpParserLimits limits, size_t window_size)
         : parser(limits),
@@ -259,8 +259,8 @@ class HttpServer {
   struct Worker {
     int index = 0;
     /// The worker's reactor: fd watchers for its connections (and, on
-    /// worker 0, the listener), the timer wheel carrying their idle and
-    /// drain deadlines, and the Post() mailbox through which worker 0 hands
+    /// worker 0, the listener), the timers carrying their idle and drain
+    /// deadlines, and the Post() mailbox through which worker 0 hands
     /// over new fds and other threads hand back completions. The gather
     /// flush and the drain-phase check run as the tick-end hook.
     std::unique_ptr<EventLoop> loop;
@@ -329,7 +329,7 @@ class HttpServer {
   /// Reactor callback for one connection's readiness events.
   void OnConnEvent(Worker& w, uint64_t conn_id, uint32_t events);
   /// Idle deadline fired: close if genuinely idle, else re-arm for the
-  /// time remaining since `last_activity`.
+  /// time remaining since `last_activity`, or a whole window when busy.
   void OnIdleTimer(Worker& w, uint64_t conn_id);
   void OnReadable(Worker& w, Connection& c);
   void TryParse(Worker& w, Connection& c);

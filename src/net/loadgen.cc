@@ -145,9 +145,9 @@ class LoadGenMux {
     /// reactor.
     Socket sock;
     /// From Connect until the dial completes or fails; `dial_timer` fails
-    /// it after `timeout_seconds` (0 when there is no timeout).
+    /// it after `timeout_seconds` (no timer when there is no timeout).
     bool dialing = false;
-    TimerId dial_timer = 0;
+    TimerId dial_timer;
     HttpResponseParser parser;
     /// Start timestamps of carried requests, indexed by seq % depth. HTTP
     /// pipelining answers in order, so done_seq walks behind issue_seq and
@@ -279,7 +279,7 @@ class LoadGenMux {
   /// Stops watching the dial of `c`, which completed or failed.
   void EndDial(Conn& c) {
     loop_.CancelTimer(c.dial_timer);
-    c.dial_timer = 0;
+    c.dial_timer = {};
     c.dialing = false;
     --dials_;
   }

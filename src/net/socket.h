@@ -31,13 +31,6 @@ class Socket {
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
 
-  /// Relinquishes ownership of the fd without closing it.
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
   void Close();
 
  private:
@@ -59,8 +52,8 @@ Result<Socket> ListenTcp(uint16_t port, int backlog, uint16_t* bound_port);
 /// socket with TCP_NODELAY and returns the socket, whose connect may still
 /// be in progress. The connect is over once the fd reports writable or an
 /// error; FinishDial then says how it ended. Nothing here waits: the caller
-/// watches the fd on its EventLoop. Fails at once on a malformed address or a connect error the kernel
-/// reports synchronously.
+/// watches the fd on its EventLoop. Fails at once on a malformed address or
+/// a connect error the kernel reports synchronously.
 Result<Socket> DialTcp(const std::string& host, uint16_t port);
 
 /// The outcome of a DialTcp whose fd reported writable or an error: OK when

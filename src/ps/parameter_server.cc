@@ -116,7 +116,7 @@ Result<ModelCheckpoint> ParameterServer::GetModel(const std::string& scope) {
     size_t index;        // position in out.params to fill
     std::string key;
     int64_t revision;
-    Tensor loaded;
+    Tensor loaded{};     // filled by the cold-store read
   };
   ModelCheckpoint out;
   std::vector<ColdParam> cold;

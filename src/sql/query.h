@@ -27,8 +27,8 @@ Predicate ColumnCompare(const Table& table, const std::string& column,
 /// applied to a column.
 struct SelectExpr {
   std::string column;
-  ScalarUdf udf;         // optional; applied to the column value
-  std::string alias;     // output name
+  ScalarUdf udf{};       // optional; applied to the column value
+  std::string alias{};   // output name
 };
 
 /// Lazily-evaluated SELECT ... FROM t WHERE pred GROUP BY expr — the query

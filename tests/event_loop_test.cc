@@ -4,8 +4,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,23 +198,10 @@ TEST(EventLoopTest, PostFromAnotherThreadWakesRun) {
   EXPECT_EQ(ran_on, runner_id);
 }
 
-TEST(EventLoopTest, PostDelayedFiresAfterDelay) {
-  FakeClockLoop fake;
-  bool fired = false;
-  fake.loop.PollOnce(0);  // claim the loop thread
-  fake.loop.PostDelayed(0.050, [&] { fired = true; });
-  fake.now = 0.049;
-  fake.loop.PollOnce(0);
-  EXPECT_FALSE(fired);
-  fake.now = 0.051;
-  fake.loop.PollOnce(0);
-  EXPECT_TRUE(fired);
-}
-
 TEST(EventLoopTest, TimerAccuracyWithinTenMillisecondsFakeClock) {
-  // The wheel-driven deadline contract the idle-timeout and reconnect
-  // paths rely on: observed against a fake clock stepped at 1 ms, a timer
-  // fires no earlier than its deadline and no more than 10 ms after it.
+  // The deadline contract the idle-timeout and reconnect paths rely on:
+  // observed against a fake clock stepped at 1 ms, a timer fires no
+  // earlier than its deadline and no more than 10 ms after it.
   FakeClockLoop fake;
   const double kDeadline = 0.1234;
   double fired_at = -1.0;
@@ -226,28 +215,152 @@ TEST(EventLoopTest, TimerAccuracyWithinTenMillisecondsFakeClock) {
   EXPECT_LE(fired_at - kDeadline, 0.010);
 }
 
+TEST(EventLoopTest, TimerFiresAtItsDeadlineNotTheNextTick) {
+  // No tick rounding: a 10.5 ms timer fires on the poll whose clock reads
+  // 10.5 ms, not on the next whole millisecond.
+  FakeClockLoop fake;
+  double fired_at = -1.0;
+  fake.loop.RunAfter(0.0105, [&] { fired_at = fake.now; });
+  fake.now = 0.0104;
+  fake.loop.PollOnce(0);
+  EXPECT_LT(fired_at, 0.0) << "fired before its deadline";
+  fake.now = 0.0105;
+  fake.loop.PollOnce(0);
+  EXPECT_EQ(fired_at, 0.0105);
+}
+
+TEST(EventLoopTest, TimersFireInDeadlineOrderThenArmOrder) {
+  // 200 timers on 20 distinct deadlines (1..20 ms, ten each), armed in a
+  // scrambled order and polled every millisecond: they fire sorted by
+  // deadline, same-deadline timers in arm order, each on the first poll
+  // that reaches its deadline.
+  FakeClockLoop fake;
+  constexpr int kTimers = 200;
+  std::vector<int> delay_ms(kTimers);
+  std::vector<int> fired;
+  std::vector<int> fired_ms;
+  int poll_ms = 0;
+  for (int i = 0; i < kTimers; ++i) {
+    delay_ms[i] = (i * 37) % 20 + 1;
+    fake.loop.RunAfter(delay_ms[i] / 1000.0, [&, i] {
+      fired.push_back(i);
+      fired_ms.push_back(poll_ms);
+    });
+  }
+  for (poll_ms = 1; poll_ms <= 25; ++poll_ms) {
+    fake.now = poll_ms / 1000.0;
+    fake.loop.PollOnce(0);
+  }
+  std::vector<int> expected(kTimers);
+  std::iota(expected.begin(), expected.end(), 0);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](int x, int y) { return delay_ms[x] < delay_ms[y]; });
+  EXPECT_EQ(fired, expected);
+  ASSERT_EQ(fired_ms.size(), fired.size());
+  for (size_t k = 0; k < fired.size(); ++k) {
+    EXPECT_EQ(fired_ms[k], delay_ms[fired[k]]) << "timer " << fired[k];
+  }
+}
+
+TEST(EventLoopTest, CallbackCancelsSiblingsDueOnTheSameTick) {
+  // All three are due on the poll at 20 ms. The first to fire cancels the
+  // other two, one on the same deadline and one on a later one, before
+  // either runs.
+  FakeClockLoop fake;
+  int sibling_fires = 0;
+  TimerId same_deadline;
+  TimerId later_deadline;
+  fake.loop.RunAfter(0.010, [&] {
+    EXPECT_TRUE(fake.loop.CancelTimer(same_deadline));
+    EXPECT_TRUE(fake.loop.CancelTimer(later_deadline));
+  });
+  same_deadline = fake.loop.RunAfter(0.010, [&] { ++sibling_fires; });
+  later_deadline = fake.loop.RunAfter(0.015, [&] { ++sibling_fires; });
+  fake.now = 0.020;
+  fake.loop.PollOnce(0);
+  fake.now = 0.100;
+  fake.loop.PollOnce(0);
+  EXPECT_EQ(sibling_fires, 0);
+}
+
+TEST(EventLoopTest, TimerArmedByATimerFiresOnTheNextPoll) {
+  // The inner timer is due at once, but it was armed while timers were
+  // firing: it waits for the next poll, even on an unchanged clock.
+  FakeClockLoop fake;
+  int poll = 0;
+  int inner_fired_on = -1;
+  fake.loop.RunAfter(0.010, [&] {
+    fake.loop.RunAfter(0, [&] { inner_fired_on = poll; });
+  });
+  fake.now = 0.010;
+  poll = 1;
+  fake.loop.PollOnce(0);
+  EXPECT_EQ(inner_fired_on, -1);
+  poll = 2;
+  fake.loop.PollOnce(0);
+  EXPECT_EQ(inner_fired_on, 2);
+}
+
+TEST(EventLoopTest, ChainedTimersFireOnTheirDeadlines) {
+  // Five 10 ms re-arms, each from the previous callback, on a clock polled
+  // every 0.1 ms: nothing rounds a hop up, so none lags the 10 ms grid.
+  FakeClockLoop fake;
+  std::vector<double> fires;
+  std::function<void()> hop = [&] {
+    fires.push_back(fake.now);
+    if (fires.size() < 5) fake.loop.RunAfter(0.010, hop);
+  };
+  fake.loop.RunAfter(0.010, hop);
+  for (int step = 1; step <= 600; ++step) {
+    fake.now = step / 10000.0;
+    fake.loop.PollOnce(0);
+  }
+  EXPECT_EQ(fires, (std::vector<double>{0.010, 0.020, 0.030, 0.040, 0.050}));
+}
+
+TEST(EventLoopTest, PastDeadlineFiresOnNextPoll) {
+  // One deadline passed while the loop was not polling; the other was in
+  // the past when it was armed (a negative delay counts as 0).
+  FakeClockLoop fake;
+  bool slept_through = false;
+  bool negative_delay = false;
+  fake.loop.RunAfter(0.010, [&] { slept_through = true; });
+  fake.now = 1.0;
+  fake.loop.RunAfter(-0.5, [&] { negative_delay = true; });
+  fake.loop.PollOnce(0);
+  EXPECT_TRUE(slept_through);
+  EXPECT_TRUE(negative_delay);
+}
+
 TEST(EventLoopTest, CancelTimerStopsPendingFire) {
   FakeClockLoop fake;
   bool fired = false;
   TimerId id = fake.loop.RunAfter(0.030, [&] { fired = true; });
   EXPECT_TRUE(fake.loop.CancelTimer(id));
+  EXPECT_FALSE(fake.loop.CancelTimer(id));         // already gone
+  EXPECT_FALSE(fake.loop.CancelTimer(TimerId{}));  // names no timer
   fake.now = 0.100;
   fake.loop.PollOnce(0);
   EXPECT_FALSE(fired);
 }
 
-TEST(EventLoopTest, RunEveryRepeatsUntilCancelled) {
-  FakeClockLoop fake;
-  int fires = 0;
-  TimerId id = 0;
-  id = fake.loop.RunEvery(0.010, [&] {
-    if (++fires == 4) fake.loop.CancelTimer(id);
-  });
-  for (int step = 0; step < 100; ++step) {
-    fake.now += 0.001;
-    fake.loop.PollOnce(0);
-  }
-  EXPECT_EQ(fires, 4);
+TEST(EventLoopTest, PollOnceSleepsUntilTheEarliestLiveDeadline) {
+  // Real clock. The 10 ms timer is cancelled, so the first poll sleeps
+  // until the 20 ms one and fires it; a cancelled timer left behind would
+  // end that poll at 10 ms with nothing fired. The 5 s timer never caps it.
+  EventLoop loop;
+  bool fired = false;
+  loop.RunAfter(5.0, [] {});
+  TimerId cancelled = loop.RunAfter(0.010, [] {});
+  loop.RunAfter(0.020, [&] { fired = true; });
+  ASSERT_TRUE(loop.CancelTimer(cancelled));
+  auto start = std::chrono::steady_clock::now();
+  loop.PollOnce(10.0);
+  std::chrono::duration<double> waited =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(fired);
+  EXPECT_GE(waited.count(), 0.015);
+  EXPECT_LT(waited.count(), 4.0);
 }
 
 TEST(EventLoopTest, TickHooksBracketDispatch) {

@@ -345,26 +345,6 @@ TEST(HttpResponseParserTest, ChunkedResetReusesParser) {
   EXPECT_EQ(p.body(), "ok");
 }
 
-TEST(SerializeTest, ChunkedEncoderRoundTripsThroughDecoder) {
-  HttpResponse resp;
-  resp.status = 200;
-  resp.content_type = "application/json";
-  std::string wire;
-  SerializeChunkedResponseHeadersTo(resp, /*keep_alive=*/true, &wire);
-  EXPECT_NE(wire.find("Transfer-Encoding: chunked\r\n"), std::string::npos);
-  EXPECT_EQ(wire.find("Content-Length"), std::string::npos);
-  AppendChunk("first ", &wire);
-  AppendChunk("", &wire);  // no-op, must not terminate the stream
-  AppendChunk(std::string(300, 'z'), &wire);  // multi-hex-digit size
-  AppendLastChunk(&wire);
-
-  HttpResponseParser p;
-  EXPECT_EQ(p.Feed(wire.data(), wire.size()), wire.size());
-  ASSERT_TRUE(p.done()) << p.error();
-  EXPECT_EQ(p.body(), "first " + std::string(300, 'z'));
-  EXPECT_TRUE(p.keep_alive());
-}
-
 TEST(HttpParserTest, RequestChunkedStillRejectedWith501) {
   // The server-side parser intentionally keeps rejecting chunked request
   // bodies; only responses stream.

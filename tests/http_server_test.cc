@@ -89,6 +89,39 @@ std::vector<int> RawExchange(uint16_t port, const std::string& wire,
   return statuses;
 }
 
+/// Reads one response from `fd` and returns its body; fails the test and
+/// returns "" when the peer closes or errors first.
+std::string ReadOneResponse(int fd) {
+  HttpResponseParser parser;
+  char buf[4096];
+  while (!parser.done()) {
+    Result<size_t> n = RecvSome(fd, buf, sizeof(buf));
+    if (!n.ok() || *n == 0) {
+      ADD_FAILURE() << "connection ended before a response";
+      return "";
+    }
+    EXPECT_EQ(parser.Feed(buf, *n), *n);
+  }
+  EXPECT_EQ(parser.status(), 200);
+  return parser.body();
+}
+
+/// Seconds until the peer closes `fd` (EOF or a reset), discarding any
+/// bytes; -1 when it is still open after `bound_seconds`.
+double SecondsUntilPeerCloses(int fd, double bound_seconds) {
+  auto start = std::chrono::steady_clock::now();
+  Deadline deadline = Deadline::After(bound_seconds);
+  char buf[256];
+  for (;;) {
+    if (!WaitReadable(fd, deadline).ok()) return -1.0;
+    Result<size_t> n = RecvSome(fd, buf, sizeof(buf));
+    if (!n.ok() || *n == 0) break;
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 /// Threads in this process, one /proc/self/task entry each.
 size_t ThreadCount() {
   size_t n = 0;
@@ -186,6 +219,64 @@ TEST(HttpServerTest, KeepAliveServesManySequentialRequests) {
   server.Stop();
   EXPECT_EQ(server.stats().accepted_connections, 1u);
   EXPECT_EQ(server.stats().requests_total, 50u);
+}
+
+// The idle-timeout tests use a 50 ms window. A close is never expected
+// before about one window has passed since the last response, and is
+// awaited with a 5 s bound rather than a fixed sleep.
+constexpr double kIdleWindow = 0.050;
+
+TEST(HttpServerTest, IdleKeepAliveConnectionClosesOneWindowAfterLastResponse) {
+  HttpServerOptions opts;
+  opts.num_workers = 1;
+  opts.idle_timeout_seconds = kIdleWindow;
+  HttpServer server(EchoHandler, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto sock = ConnectTcp("127.0.0.1", server.port(), 10.0);
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  std::string wire = "GET /once HTTP/1.1\r\n\r\n";
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
+  EXPECT_EQ(ReadOneResponse(sock->fd()), "GET /once");
+
+  double closed_after = SecondsUntilPeerCloses(sock->fd(), 5.0);
+  ASSERT_GE(closed_after, 0.0) << "idle connection still open after 5 s";
+  // The response left the server after its last activity, so the close
+  // trails its arrival by about one window, less the time in flight.
+  EXPECT_GE(closed_after, kIdleWindow / 2);
+  EXPECT_LT(closed_after, 10 * kIdleWindow);
+  server.Stop();
+  EXPECT_EQ(server.stats().timed_out_connections, 1u);
+}
+
+TEST(HttpServerTest, BusyConnectionOutlivesIdleWindowThenTimesOut) {
+  // The handler's writer is held for four windows. A busy connection is
+  // never idle, so its timer re-arms and the connection stays open; the
+  // response goes out on it, and one window later it times out.
+  WriterStash held;
+  HttpServerOptions opts;
+  opts.num_workers = 1;
+  opts.idle_timeout_seconds = kIdleWindow;
+  HttpServer server(held.Handler(), opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto sock = ConnectTcp("127.0.0.1", server.port(), 10.0);
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  std::string wire = "GET /held HTTP/1.1\r\n\r\n";
+  ASSERT_TRUE(WriteFull(sock->fd(), wire.data(), wire.size()).ok());
+  ASSERT_TRUE(held.WaitFor(1));
+  // Nothing, not even EOF, may arrive while the writer is held.
+  EXPECT_EQ(WaitReadable(sock->fd(), Deadline::After(4 * kIdleWindow)).code(),
+            StatusCode::kDeadlineExceeded);
+  held.CompleteAll("late");
+  EXPECT_EQ(ReadOneResponse(sock->fd()), "late");
+
+  double closed_after = SecondsUntilPeerCloses(sock->fd(), 5.0);
+  ASSERT_GE(closed_after, 0.0) << "connection still open after 5 s";
+  EXPECT_GE(closed_after, kIdleWindow / 2);
+  EXPECT_LT(closed_after, 10 * kIdleWindow);
+  server.Stop();
+  HttpServerStats stats = server.stats();
+  EXPECT_EQ(stats.timed_out_connections, 1u);
+  EXPECT_EQ(stats.responses_total, 1u);
 }
 
 TEST(HttpServerTest, TornWritesReassemble) {
