@@ -33,9 +33,7 @@ int main() {
 
   // RL: train online, then evaluate (the paper plots RL after it has been
   // running for a long time).
-  serving::RlSchedulerOptions rl_options;
-  rl_options.beta = 1.0;
-  serving::RlSchedulerPolicy rl(1, {16, 32, 48, 64}, nullptr, rl_options);
+  serving::RlSchedulerPolicy rl(1, {16, 32, 48, 64}, nullptr, {});
   serving::ServingMetrics rl_m =
       TrainThenEvalRl(rl, models, nullptr, ru, /*train_seconds=*/6000.0,
                       kEval, /*beta=*/1.0, /*seed=*/6);

@@ -27,9 +27,7 @@ int main() {
   serving::GreedyBatchPolicy greedy(0);
   serving::ServingMetrics greedy_m = greedy_sim.Run(greedy, greedy_arrivals);
 
-  serving::RlSchedulerOptions rl_options;
-  rl_options.beta = 1.0;
-  serving::RlSchedulerPolicy rl(1, {16, 32, 48, 64}, nullptr, rl_options);
+  serving::RlSchedulerPolicy rl(1, {16, 32, 48, 64}, nullptr, {});
   serving::ServingMetrics rl_m =
       TrainThenEvalRl(rl, models, nullptr, rl_rate, /*train_seconds=*/6000.0,
                       kEval, /*beta=*/1.0, /*seed=*/16);

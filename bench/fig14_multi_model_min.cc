@@ -34,9 +34,7 @@ int main() {
   serving::SyncEnsembleGreedyPolicy sync_policy;
   serving::ServingMetrics sync_m = sync_sim.Run(sync_policy, sync_arrivals);
 
-  serving::RlSchedulerOptions rl_options;
-  rl_options.beta = 1.0;
-  serving::RlSchedulerPolicy rl(3, {16, 32, 48, 64}, &table, rl_options);
+  serving::RlSchedulerPolicy rl(3, {16, 32, 48, 64}, &table, {});
   serving::ServingMetrics rl_m =
       TrainThenEvalRl(rl, models, &table, r_min, /*train_seconds=*/8000.0,
                       kEval, /*beta=*/1.0, /*seed=*/26);

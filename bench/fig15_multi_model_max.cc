@@ -33,9 +33,7 @@ int main() {
   serving::ServingMetrics async_m =
       async_sim.Run(async_policy, async_arrivals);
 
-  serving::RlSchedulerOptions rl_options;
-  rl_options.beta = 1.0;
-  serving::RlSchedulerPolicy rl(3, {16, 32, 48, 64}, &table, rl_options);
+  serving::RlSchedulerPolicy rl(3, {16, 32, 48, 64}, &table, {});
   serving::ServingMetrics rl_m =
       TrainThenEvalRl(rl, models, &table, r_max, /*train_seconds=*/8000.0,
                       kEval, /*beta=*/1.0, /*seed=*/36);

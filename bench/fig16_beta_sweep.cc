@@ -26,9 +26,7 @@ int main() {
   };
   std::vector<Run> runs;
   for (double beta : {0.0, 1.0}) {
-    serving::RlSchedulerOptions rl_options;
-    rl_options.beta = beta;
-    serving::RlSchedulerPolicy rl(3, {16, 32, 48, 64}, &table, rl_options);
+    serving::RlSchedulerPolicy rl(3, {16, 32, 48, 64}, &table, {});
     runs.push_back({beta, TrainThenEvalRl(rl, models, &table, r_min,
                                           /*train_seconds=*/8000.0, kEval,
                                           beta, /*seed=*/46)});

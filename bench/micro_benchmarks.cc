@@ -525,7 +525,6 @@ void BM_GreedyPolicyDecision(benchmark::State& state) {
       model::FindProfile("inception_v3").value()};
   serving::GreedyBatchPolicy policy(0);
   serving::ServingObs obs;
-  obs.now = 100.0;
   obs.tau = 0.56;
   obs.batch_sizes = &kBatches;
   obs.models = &kModels;
@@ -550,7 +549,6 @@ void BM_RlPolicyDecision(benchmark::State& state) {
   serving::RlSchedulerOptions options;
   serving::RlSchedulerPolicy policy(3, kBatches, &table, options);
   serving::ServingObs obs;
-  obs.now = 100.0;
   obs.tau = 0.56;
   obs.batch_sizes = &kBatches;
   obs.models = &kModels;

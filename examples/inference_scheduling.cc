@@ -70,10 +70,7 @@ int main() {
     report("async no-ensemble", sim.Run(policy, arrivals));
   }
   {
-    serving::RlSchedulerOptions rl_options;
-    rl_options.beta = 1.0;
-    serving::RlSchedulerPolicy rl(3, options.batch_sizes, &table,
-                                  rl_options);
+    serving::RlSchedulerPolicy rl(3, options.batch_sizes, &table, {});
     // Train online for a while, then measure.
     serving::ServingSimOptions train = options;
     train.duration_seconds = 4000.0;

@@ -26,9 +26,13 @@ even pairs HEAD first. For each workload x metric it prints:
 With --trace 1 it compares the `per_layer` metrics instead; those have no
 bounds, so the verdict column reads "-". Each pair's line gives both
 sides' failed operations and `client.lag_p99_us` from the report line (a
-load generator that ran late shows up there), plus the --claim metric's
-values. No pair is ever dropped from the figures. The exit status is
-non-zero when any run printed `"correct": false` or no result at all.
+load generator that ran late shows up there), the host's 1-minute load
+average as the run started and the share of CPU time stolen by the
+hypervisor during the run (from /proc/loadavg and /proc/stat, so a pair
+that straddles a slow phase of a shared host shows up), plus the --claim
+metric's values. No pair is ever dropped from the figures. The exit
+status is non-zero when any run printed `"correct": false` or no result
+at all.
 """
 
 import argparse
@@ -66,15 +70,38 @@ def export(rev, workdir):
     return sha, dest
 
 
+def host_state():
+    """(1-minute load average, steal jiffies, total jiffies) of the host, or
+    None where /proc does not have them."""
+    try:
+        with open("/proc/loadavg") as f:
+            load = float(f.read().split()[0])
+        with open("/proc/stat") as f:
+            cpu = [int(x) for x in f.readline().split()[1:9]]
+    except (OSError, ValueError, IndexError):
+        return None
+    # user nice system idle iowait irq softirq steal; guest time is already
+    # counted in user and nice.
+    return load, cpu[7], sum(cpu)
+
+
 def run(tree, workload, seed, trace, extra=()):
-    """One perfbench run: its stamp, report and result (None if absent)."""
+    """One perfbench run: its stamp, report and result (None if absent),
+    with the host's load as it started and its steal share during it."""
+    before = host_state()
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
                           workload, "--seed", str(seed), "--trace",
                           str(trace), *extra], cwd=tree,
                          capture_output=True, text=True)
+    after = host_state()
     lines = out.stdout.strip().splitlines()
     got = {"stamp": None, "report": None, "result": None,
-           "exit": out.returncode}
+           "exit": out.returncode, "load": None, "steal": None}
+    if before is not None and after is not None:
+        got["load"] = before[0]
+        total = after[2] - before[2]
+        if total > 0:
+            got["steal"] = (after[1] - before[1]) / total
     for line in lines:
         for key in ("stamp", "report"):
             if line.startswith(key + " "):
@@ -124,6 +151,12 @@ def lag(side):
     detail = (side["report"] or {}).get("detail", {})
     got = detail.get("client.lag_p99_us")
     return "-" if got is None else "%.0f" % got["value"]
+
+
+def host(side):
+    load = "-" if side["load"] is None else "%.2f" % side["load"]
+    steal = "-" if side["steal"] is None else "%.1f%%" % (100 * side["steal"])
+    return "load %s steal %s" % (load, steal)
 
 
 def fmt(x):
@@ -188,9 +221,9 @@ def main():
             line = "pair %2d seed %d %s first:" % (i, seed, order[0])
             for name in ("base", "head"):
                 got = pair[name]["result"]
-                line += "  %s failed %s lag_p99_us %s" % (
+                line += "  %s failed %s lag_p99_us %s %s" % (
                     name, "-" if got is None else got["failed"],
-                    lag(pair[name]))
+                    lag(pair[name]), host(pair[name]))
                 if got is not None and not got["correct"]:
                     line += " INCORRECT"
                 if args.claim:

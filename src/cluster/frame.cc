@@ -74,7 +74,7 @@ class Reader {
 
 constexpr uint8_t kMaxMessageType =
     static_cast<uint8_t>(MessageType::kContinue);
-constexpr uint8_t kMaxFrameType = static_cast<uint8_t>(FrameType::kPing);
+constexpr uint8_t kMaxFrameType = static_cast<uint8_t>(FrameType::kMessage);
 constexpr uint8_t kMinFrameType = static_cast<uint8_t>(FrameType::kAnnounce);
 
 Status Truncated(const char* what) {

@@ -32,7 +32,6 @@ enum class FrameType : uint8_t {
   kAnnounce = 1,  // payload: endpoint list the sender can receive for
   kWithdraw = 2,  // payload: endpoint list no longer routable via sender
   kMessage = 3,   // payload: envelope (destination endpoint + Message)
-  kPing = 4,      // payload: empty (liveness probe; echoed as-is)
 };
 
 constexpr uint32_t kFrameMagic = 0x52464B42u;  // "RFKB"
@@ -43,7 +42,7 @@ constexpr size_t kFrameHeaderBytes = 12;
 constexpr size_t kMaxFramePayload = 64u << 20;
 
 struct Frame {
-  FrameType type = FrameType::kPing;
+  FrameType type = FrameType::kMessage;
   std::string payload;
 };
 

@@ -157,17 +157,6 @@ void RpcBus::HandleReadable(int fd) {
 
 bool RpcBus::HandleFrame(int fd, Frame frame) {
   switch (frame.type) {
-    case FrameType::kPing: {
-      // The hub echoes pings; a leaf treats an incoming ping as the echo.
-      if (is_hub_) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = conns_.find(fd);
-        if (it != conns_.end()) {
-          (void)EnqueueFrameLocked(it->second.get(), FrameType::kPing, "");
-        }
-      }
-      return true;
-    }
     case FrameType::kAnnounce:
     case FrameType::kWithdraw: {
       auto decoded = DecodeEndpointList(frame.payload);

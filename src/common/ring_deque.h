@@ -27,6 +27,9 @@ class RingDeque {
 
   T& front() { return buf_[head_]; }
   T& operator[](size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
+  const T& operator[](size_t i) const {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
 
   void pop_front() {
     buf_[head_] = T{};  // release owned resources promptly

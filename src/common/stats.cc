@@ -8,46 +8,6 @@
 
 namespace rafiki {
 
-void RunningStat::Add(double x) {
-  ++count_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double n1 = static_cast<double>(count_);
-  double n2 = static_cast<double>(other.count_);
-  double delta = other.mean_ - mean_;
-  double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStat::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-std::string RunningStat::ToString() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "n=%zu mean=%.4f sd=%.4f min=%.4f max=%.4f",
-                count_, mean(), stddev(), min(), max());
-  return buf;
-}
-
 Histogram::Histogram(double lo, double hi, size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
   RAFIKI_CHECK_GT(hi, lo);
@@ -153,15 +113,6 @@ std::string LatencyHistogram::ToString() const {
                 "n=%zu mean=%.6f p50=%.6f p95=%.6f p99=%.6f max=%.6f",
                 count_, mean(), P50(), P95(), P99(), max());
   return buf;
-}
-
-void Ewma::Add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
 }
 
 }  // namespace rafiki

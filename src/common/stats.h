@@ -8,31 +8,6 @@
 
 namespace rafiki {
 
-/// Online mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStat {
- public:
-  void Add(double x);
-  void Merge(const RunningStat& other);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
-
-  std::string ToString() const;
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// Fixed-width-bucket histogram over [lo, hi); out-of-range samples land in
 /// the first/last bucket. Used for the Figure 8(b)/9(b) accuracy histograms.
 /// Memory is O(buckets) regardless of sample count — individual samples are
@@ -107,21 +82,6 @@ class LatencyHistogram {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Exponentially-weighted moving average, used for rate estimation in the
-/// serving scheduler state.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-  void Add(double x);
-  double value() const { return value_; }
-  bool empty() const { return !initialized_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
 };
 
 }  // namespace rafiki

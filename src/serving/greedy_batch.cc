@@ -15,6 +15,35 @@ int64_t LargestFeasibleBatch(const std::vector<int64_t>& batch_sizes,
   return best;
 }
 
+GreedyPlan PlanGreedy(const ServingObs& obs, uint32_t mask, double delta) {
+  GreedyPlan plan;
+  if (obs.queue_len == 0) return plan;
+  int64_t max_b = *std::max_element(obs.batch_sizes->begin(),
+                                    obs.batch_sizes->end());
+  int64_t b = LargestFeasibleBatch(*obs.batch_sizes, obs.queue_len);
+  if (b == 0) b = static_cast<int64_t>(obs.queue_len);  // below min(B)
+  double c = 0.0;
+  for (size_t m = 0; m < obs.models->size(); ++m) {
+    if (mask & (1u << m)) c = std::max(c, (*obs.models)[m].BatchLatency(b));
+  }
+  double oldest_wait = obs.queue_waits.empty() ? 0.0 : obs.queue_waits[0];
+  plan.flush_in = obs.tau - delta - c - oldest_wait;
+  if (static_cast<int64_t>(obs.queue_len) >= max_b ||  // Alg. 3 line 3-5
+      c + oldest_wait + delta >= obs.tau) {            // Alg. 3 line 8-10
+    plan.batch = b;
+  }
+  return plan;
+}
+
+bool PushWakes(const std::vector<int64_t>& batch_sizes, size_t len) {
+  int64_t min_b = *std::min_element(batch_sizes.begin(), batch_sizes.end());
+  if (len < static_cast<size_t>(min_b)) return true;
+  for (int64_t b : batch_sizes) {
+    if (static_cast<size_t>(b) == len) return true;
+  }
+  return false;
+}
+
 GreedyBatchPolicy::GreedyBatchPolicy(size_t model_index,
                                      double backoff_delta_fraction)
     : model_index_(model_index), backoff_fraction_(backoff_delta_fraction) {}
@@ -22,27 +51,12 @@ GreedyBatchPolicy::GreedyBatchPolicy(size_t model_index,
 ServingAction GreedyBatchPolicy::Decide(const ServingObs& obs) {
   RAFIKI_CHECK(obs.batch_sizes != nullptr && obs.models != nullptr);
   RAFIKI_CHECK_LT(model_index_, obs.models->size());
-  ServingAction wait;
-  if (obs.queue_len == 0) return wait;
-  if (obs.busy_remaining[model_index_] > 0.0) return wait;  // model busy
-
-  const model::ModelProfile& m = (*obs.models)[model_index_];
-  int64_t max_b = *std::max_element(obs.batch_sizes->begin(),
-                                    obs.batch_sizes->end());
+  if (obs.queue_len == 0) return {};
+  if (obs.busy_remaining[model_index_] > 0.0) return {};  // model busy
   uint32_t mask = 1u << model_index_;
-  if (static_cast<int64_t>(obs.queue_len) >= max_b) {
-    return ServingAction{true, mask, max_b};  // Alg. 3 line 3-5
-  }
-  int64_t b = LargestFeasibleBatch(*obs.batch_sizes, obs.queue_len);
-  // Queue shorter than min(B): flush a partial batch only under deadline
-  // pressure.
-  int64_t effective = b > 0 ? b : static_cast<int64_t>(obs.queue_len);
-  double oldest_wait = obs.queue_waits.empty() ? 0.0 : obs.queue_waits[0];
-  double delta = backoff_fraction_ * obs.tau;
-  if (m.BatchLatency(effective) + oldest_wait + delta >= obs.tau) {
-    return ServingAction{true, mask, effective};  // Alg. 3 line 8-10
-  }
-  return wait;
+  GreedyPlan plan = PlanGreedy(obs, mask, backoff_fraction_ * obs.tau);
+  if (plan.batch == 0) return {};
+  return ServingAction{true, mask, plan.batch};
 }
 
 SyncEnsembleGreedyPolicy::SyncEnsembleGreedyPolicy(
@@ -50,70 +64,38 @@ SyncEnsembleGreedyPolicy::SyncEnsembleGreedyPolicy(
     : backoff_fraction_(backoff_delta_fraction) {}
 
 ServingAction SyncEnsembleGreedyPolicy::Decide(const ServingObs& obs) {
-  ServingAction wait;
-  if (obs.queue_len == 0) return wait;
+  if (obs.queue_len == 0) return {};
   size_t n = obs.models->size();
-  uint32_t all = (1u << n) - 1;
   // Synchronous: every model must be free.
   for (size_t i = 0; i < n; ++i) {
-    if (obs.busy_remaining[i] > 0.0) return wait;
+    if (obs.busy_remaining[i] > 0.0) return {};
   }
-  // Ensemble latency is gated by the slowest model.
-  auto ensemble_latency = [&](int64_t b) {
-    double worst = 0.0;
-    for (const model::ModelProfile& m : *obs.models) {
-      worst = std::max(worst, m.BatchLatency(b));
-    }
-    return worst;
-  };
-  int64_t max_b = *std::max_element(obs.batch_sizes->begin(),
-                                    obs.batch_sizes->end());
-  if (static_cast<int64_t>(obs.queue_len) >= max_b) {
-    return ServingAction{true, all, max_b};
-  }
-  int64_t b = LargestFeasibleBatch(*obs.batch_sizes, obs.queue_len);
-  int64_t effective = b > 0 ? b : static_cast<int64_t>(obs.queue_len);
-  double oldest_wait = obs.queue_waits.empty() ? 0.0 : obs.queue_waits[0];
-  double delta = backoff_fraction_ * obs.tau;
-  if (ensemble_latency(effective) + oldest_wait + delta >= obs.tau) {
-    return ServingAction{true, all, effective};
-  }
-  return wait;
+  uint32_t all = (1u << n) - 1;
+  GreedyPlan plan = PlanGreedy(obs, all, backoff_fraction_ * obs.tau);
+  if (plan.batch == 0) return {};
+  return ServingAction{true, all, plan.batch};
 }
 
 AsyncNoEnsemblePolicy::AsyncNoEnsemblePolicy(double backoff_delta_fraction)
     : backoff_fraction_(backoff_delta_fraction) {}
 
 ServingAction AsyncNoEnsemblePolicy::Decide(const ServingObs& obs) {
-  ServingAction wait;
-  if (obs.queue_len == 0) return wait;
+  if (obs.queue_len == 0) return {};
   size_t n = obs.models->size();
   // Round-robin over FREE models so different batches land on different
-  // models concurrently (maximum throughput, no ensembling).
+  // models concurrently (maximum throughput, no ensembling). The first
+  // free model decides: if its deadline test says wait, the others would
+  // decide the same (shared queue).
   for (size_t probe = 0; probe < n; ++probe) {
     size_t i = (next_model_ + probe) % n;
     if (obs.busy_remaining[i] > 0.0) continue;
-    const model::ModelProfile& m = (*obs.models)[i];
     uint32_t mask = 1u << i;
-    int64_t max_b = *std::max_element(obs.batch_sizes->begin(),
-                                      obs.batch_sizes->end());
-    if (static_cast<int64_t>(obs.queue_len) >= max_b) {
-      next_model_ = (i + 1) % n;
-      return ServingAction{true, mask, max_b};
-    }
-    int64_t b = LargestFeasibleBatch(*obs.batch_sizes, obs.queue_len);
-    int64_t effective = b > 0 ? b : static_cast<int64_t>(obs.queue_len);
-    double oldest_wait = obs.queue_waits.empty() ? 0.0 : obs.queue_waits[0];
-    double delta = backoff_fraction_ * obs.tau;
-    if (m.BatchLatency(effective) + oldest_wait + delta >= obs.tau) {
-      next_model_ = (i + 1) % n;
-      return ServingAction{true, mask, effective};
-    }
-    // This model could serve but the deadline test says wait; other models
-    // would decide the same (shared queue), so stop probing.
-    return wait;
+    GreedyPlan plan = PlanGreedy(obs, mask, backoff_fraction_ * obs.tau);
+    if (plan.batch == 0) return {};
+    next_model_ = (i + 1) % n;
+    return ServingAction{true, mask, plan.batch};
   }
-  return wait;
+  return {};
 }
 
 }  // namespace rafiki::serving

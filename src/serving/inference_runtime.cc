@@ -83,27 +83,9 @@ std::vector<uint32_t> BuildVariantMasks(
   return masks;
 }
 
-/// A push wakes a dispatcher only when it can change Algorithm 3's
-/// decision: while the queue is shorter than min(B) the effective batch is
-/// the queue itself, so every push moves the flush deadline earlier, and at
-/// a size in B a larger batch becomes feasible. Between sizes in B a
-/// waiting dispatcher's flush deadline covers the rest, and the RL policy
-/// never waits on a non-empty queue. With 1 in B this wakes at length 1
-/// and at the sizes in B only.
-bool PushWakes(const std::vector<int64_t>& batch_sizes, size_t len) {
-  int64_t min_b = *std::min_element(batch_sizes.begin(), batch_sizes.end());
-  if (len < static_cast<size_t>(min_b)) return true;
-  for (int64_t b : batch_sizes) {
-    if (static_cast<size_t>(b) == len) return true;
-  }
-  return false;
-}
-
-/// Consecutive-tick thresholds for the controller's hysteresis (on top of
-/// the dwell time): sustained signals, not single-tick spikes.
-constexpr int kScaleDownTicks = 3;
-constexpr int kDownshiftTicks = 3;
-constexpr int kUpshiftTicks = 5;
+/// Floor on a waiting dispatcher's sleep, so a policy that waits past
+/// Algorithm 3's flush deadline re-decides at a bounded rate.
+constexpr double kMinFlushWait = 100e-6;
 
 }  // namespace
 
@@ -147,26 +129,18 @@ InferenceRuntime::~InferenceRuntime() {
 }
 
 std::unique_ptr<SchedulerPolicy> InferenceRuntime::MakePolicy(
-    const Job& job, size_t replica_index) {
+    const Job& job) {
   if (job.opts.policy_factory != nullptr) {
     PolicyInit init;
     init.num_models = job.prototypes.size();
     init.batch_sizes = job.opts.batch_sizes;
-    init.accuracies = job.accuracies;
     init.profiles = &job.profiles;
-    init.tau = job.opts.tau;
-    init.beta = job.opts.beta;
-    init.backoff_delta_fraction = job.opts.backoff_delta_fraction;
-    init.replica_index = replica_index;
-    init.num_replicas = job.max_replicas;
     return job.opts.policy_factory(init);
   }
   if (job.prototypes.size() == 1) {
-    return std::make_unique<GreedyBatchPolicy>(
-        /*model_index=*/0, job.opts.backoff_delta_fraction);
+    return std::make_unique<GreedyBatchPolicy>(/*model_index=*/0);
   }
-  return std::make_unique<SyncEnsembleGreedyPolicy>(
-      job.opts.backoff_delta_fraction);
+  return std::make_unique<SyncEnsembleGreedyPolicy>();
 }
 
 Result<std::string> InferenceRuntime::Deploy(const std::string& job_id,
@@ -238,7 +212,7 @@ Result<std::string> InferenceRuntime::Deploy(const std::string& job_id,
   {
     // Validate the factory once before committing the job: a factory that
     // yields no policy is a deploy-time error, not a scale-up surprise.
-    std::unique_ptr<SchedulerPolicy> probe = MakePolicy(*job, 0);
+    std::unique_ptr<SchedulerPolicy> probe = MakePolicy(*job);
     if (probe == nullptr) {
       return Status::InvalidArgument("policy_factory returned no policy");
     }
@@ -300,7 +274,7 @@ void InferenceRuntime::StartReplica(const std::shared_ptr<Job>& job,
       fresh->models.push_back(std::move(clone));
     }
     fresh->profiles = job->profiles;
-    fresh->policy = MakePolicy(*job, index);
+    fresh->policy = MakePolicy(*job);
     RAFIKI_CHECK(fresh->policy != nullptr);  // validated at Deploy
     job->slots[index] = std::move(fresh);
     r = job->slots[index].get();
@@ -545,7 +519,8 @@ std::vector<std::string> InferenceRuntime::Jobs() const {
 void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
                                    Replica* self) {
   const RuntimeOptions& opts = job->opts;
-  const double delta = opts.backoff_delta_fraction * opts.tau;
+  const double delta = kBackoffDeltaFraction * opts.tau;
+  const uint32_t all_models = (1u << self->profiles.size()) - 1;
   RingDeque<Pending>& queue = job->queue;
   std::vector<Pending> expired;  // scratch, capacity reused
   ServingObs obs;                // capacity reused across decisions
@@ -569,80 +544,54 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
       });
       continue;
     }
-    double now = job->NowSeconds();
-    if (opts.expire_overdue) {
+    // Arrivals are stamped under the queue mutex this thread holds, and
+    // the clock is monotonic, so no observed wait is negative.
+    DispatchStep step = StepDispatch(*self->policy, queue, job->NowSeconds(),
+                                     opts.expire_overdue, &obs);
+    if (step.expire > 0) {
       // Queue-deadline: a request already older than tau cannot possibly
       // meet the SLO — answer it kDeadlineExceeded now instead of letting
-      // it occupy batch capacity. The queue is in arrival order, so the
-      // scan stops at the first fresh request.
-      while (!queue.empty() && now - queue.front().arrival > opts.tau) {
+      // it occupy batch capacity.
+      for (size_t i = 0; i < step.expire; ++i) {
         expired.push_back(std::move(queue.front()));
         queue.pop_front();
       }
-      if (!expired.empty()) {
-        lock.unlock();
-        auto n = static_cast<int64_t>(expired.size());
-        expired_unrewarded += n;
-        {
-          std::lock_guard<std::mutex> stats_lock(self->mu);
-          self->stats.expired += n;
-          self->stats.overdue += n;
-          self->stats.reward_pending_overdue += n;
-        }
-        for (Pending& p : expired) {
-          p.done(Status::DeadlineExceeded(
-              StrFormat("queue wait exceeded tau=%.6fs", opts.tau)));
-        }
-        expired.clear();
-        lock.lock();
-        continue;
+      lock.unlock();
+      auto n = static_cast<int64_t>(expired.size());
+      expired_unrewarded += n;
+      {
+        std::lock_guard<std::mutex> stats_lock(self->mu);
+        self->stats.expired += n;
+        self->stats.overdue += n;
+        self->stats.reward_pending_overdue += n;
       }
-    }
-    // Arrivals are stamped under the queue mutex this thread holds, and
-    // the clock is monotonic, so no wait is negative.
-    obs.now = now;
-    obs.queue_len = queue.size();
-    size_t wait_count = std::min<size_t>(queue.size(), 64);
-    obs.queue_waits.clear();
-    for (size_t i = 0; i < wait_count; ++i) {
-      double wait = now - queue[i].arrival;
-#ifndef NDEBUG
-      RAFIKI_CHECK_GE(wait, 0.0) << "stale queue-wait feature";
-#endif
-      obs.queue_waits.push_back(wait);
-    }
-
-    ServingAction action = self->policy->Decide(obs);
-    int64_t b = std::min<int64_t>(action.batch_size,
-                                  static_cast<int64_t>(queue.size()));
-    if (!action.process || b <= 0) {
-      // Algorithm 3 said wait: sleep until the oldest request would trip
-      // the deadline flush (c(b_eff) + w(q_0) + delta >= tau), or until a
-      // push that can change the decision wakes us. Every wake, spurious
-      // ones included, re-runs the decision above.
-      int64_t feasible =
-          LargestFeasibleBatch(opts.batch_sizes, obs.queue_len);
-      int64_t effective =
-          feasible > 0 ? feasible : static_cast<int64_t>(obs.queue_len);
-      double worst_latency = 0.0;
-      for (const model::ModelProfile& m : self->profiles) {
-        worst_latency = std::max(worst_latency, m.BatchLatency(effective));
+      for (Pending& p : expired) {
+        p.done(Status::DeadlineExceeded(
+            StrFormat("queue wait exceeded tau=%.6fs", opts.tau)));
       }
-      double until_flush =
-          opts.tau - delta - worst_latency - obs.queue_waits[0];
+      expired.clear();
+      lock.lock();
+      continue;
+    }
+    if (step.take == 0) {
+      // The policy waits: sleep until Algorithm 3 would flush the oldest
+      // request, or until a push that can change the decision wakes us.
+      // Every wake, spurious ones included, re-runs the step above.
+      double flush_in = PlanGreedy(obs, all_models, delta).flush_in;
       job->queue_cv.wait_for(
-          lock, std::chrono::duration<double>(std::max(until_flush, 100e-6)));
+          lock, std::chrono::duration<double>(std::max(flush_in,
+                                                       kMinFlushWait)));
       continue;
     }
 
     std::vector<Pending> batch;
-    batch.reserve(static_cast<size_t>(b));
-    for (int64_t i = 0; i < b; ++i) {
+    batch.reserve(static_cast<size_t>(step.take));
+    for (int64_t i = 0; i < step.take; ++i) {
       batch.push_back(std::move(queue.front()));
       queue.pop_front();
     }
     bool left_behind = !queue.empty();
-    self->inflight.store(b, std::memory_order_relaxed);
+    self->inflight.store(step.take, std::memory_order_relaxed);
     lock.unlock();
     // The requests left behind need a decision of their own.
     if (left_behind) job->queue_cv.notify_one();
@@ -656,7 +605,7 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
         job->variant_level.load(std::memory_order_relaxed), 0,
         static_cast<int>(job->variant_masks.size()) - 1);
     uint32_t variant = job->variant_masks[static_cast<size_t>(level)];
-    uint32_t exec = action.model_mask & variant;
+    uint32_t exec = step.action.model_mask & variant;
     if (exec == 0) exec = variant;
     double reward =
         ProcessBatch(*job, *self, std::move(batch), exec, expired_unrewarded);
@@ -665,146 +614,128 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
     // Online learning from the realized outcome (no-op for greedy): runs
     // on this dispatcher thread, after the stats fold, so Metrics readers
     // never see a batch whose reward is missing.
-    self->policy->Feedback(obs, action, reward);
+    self->policy->Feedback(obs, step.action, reward);
     lock.lock();
   }
   self->expired_carry = expired_unrewarded;
 }
 
+ControllerAction ControllerStep(const ControllerTick& tick,
+                                const ControllerLimits& limits,
+                                ControllerState* state) {
+  ControllerAction action;
+  const auto max_b = static_cast<double>(limits.max_batch);
+  // Horizontal scaling, with hysteresis: a dwell between resizes, and
+  // scale-down additionally requires several consecutive low ticks.
+  bool resize_dwelled = tick.now - state->last_resize >= limits.dwell;
+  auto up_at = static_cast<int64_t>(
+      kScaleUpPressure * static_cast<double>(tick.active) * max_b);
+  if (tick.active < limits.max_replicas && tick.queued > up_at &&
+      resize_dwelled) {
+    action.resize = 1;
+  } else if (tick.active > limits.min_replicas) {
+    auto down_at = static_cast<int64_t>(
+        kScaleDownPressure * static_cast<double>(tick.active - 1) * max_b);
+    state->low_ticks =
+        tick.queued + tick.inflight <= down_at ? state->low_ticks + 1 : 0;
+    if (state->low_ticks >= kScaleDownTicks && resize_dwelled) {
+      action.resize = -1;
+    }
+  } else {
+    state->low_ticks = 0;
+  }
+  if (action.resize != 0) {
+    state->last_resize = tick.now;
+    state->low_ticks = 0;
+  }
+  if (limits.max_level == 0) return action;
+
+  // Accuracy-for-latency variant ladder (Loki-style): once horizontal
+  // scaling is exhausted and the overdue fraction stays high, drop the
+  // slowest models; restore them when pressure stays low.
+  int64_t d_over = tick.overdue - state->prev_overdue;
+  int64_t d_comp = tick.completed - state->prev_completed;
+  state->prev_overdue = tick.overdue;
+  state->prev_completed = tick.completed;
+  if (d_comp > 0) {
+    double rate = static_cast<double>(d_over) / static_cast<double>(d_comp);
+    bool high = rate > kDownshiftOverdueRate;
+    bool low = !high && rate < kUpshiftOverdueRate &&
+               tick.queued <= static_cast<int64_t>(tick.active) *
+                                  limits.max_batch;
+    state->high_overdue_ticks = high ? state->high_overdue_ticks + 1 : 0;
+    state->low_overdue_ticks = low ? state->low_overdue_ticks + 1 : 0;
+  }
+  double since_shift = tick.now - state->last_shift;
+  if (tick.level < limits.max_level &&
+      state->high_overdue_ticks >= kDownshiftTicks &&
+      tick.active >= limits.max_replicas && since_shift >= limits.dwell) {
+    action.shift = 1;
+    state->high_overdue_ticks = 0;
+  } else if (tick.level > 0 && state->low_overdue_ticks >= kUpshiftTicks &&
+             since_shift >= 2.0 * limits.dwell) {
+    action.shift = -1;
+    state->low_overdue_ticks = 0;
+  }
+  if (action.shift != 0) state->last_shift = tick.now;
+  return action;
+}
+
 void InferenceRuntime::ControllerLoop(const std::shared_ptr<Job>& job) {
-  const RuntimeOptions& opts = job->opts;
-  const int64_t max_b = *std::max_element(opts.batch_sizes.begin(),
-                                          opts.batch_sizes.end());
-  const auto max_level =
-      static_cast<int>(job->variant_masks.size()) - 1;
-  double last_resize = job->NowSeconds();
-  double last_shift = last_resize;
-  int low_ticks = 0;
-  int high_overdue_ticks = 0;
-  int low_overdue_ticks = 0;
-  int64_t prev_overdue = 0;
-  int64_t prev_completed = 0;
+  ControllerLimits limits;
+  limits.min_replicas = job->min_replicas;
+  limits.max_replicas = job->max_replicas;
+  limits.max_level = static_cast<int>(job->variant_masks.size()) - 1;
+  limits.max_batch = *std::max_element(job->opts.batch_sizes.begin(),
+                                       job->opts.batch_sizes.end());
+  limits.dwell = job->opts.autoscale_dwell;
+  ControllerState state;
+  state.last_resize = state.last_shift = job->NowSeconds();
 
   std::unique_lock<std::mutex> lock(job->ctl_mu);
   for (;;) {
-    job->ctl_cv.wait_for(lock,
-                         std::chrono::duration<double>(opts.autoscale_interval),
+    job->ctl_cv.wait_for(lock, std::chrono::duration<double>(kControllerTick),
                          [&] { return job->ctl_stop; });
     if (job->ctl_stop) break;
     lock.unlock();
 
-    size_t active = job->active.load(std::memory_order_acquire);
-    int64_t queued;
+    ControllerTick tick;
+    tick.active = job->active.load(std::memory_order_acquire);
     {
       std::lock_guard<std::mutex> queue_lock(job->queue_mu);
-      queued = static_cast<int64_t>(job->queue.size());
+      tick.queued = static_cast<int64_t>(job->queue.size());
     }
-    int64_t inflight = 0;
-    for (size_t i = 0; i < active; ++i) {
-      inflight += job->slots[i]->inflight.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < tick.active; ++i) {
+      tick.inflight += job->slots[i]->inflight.load(std::memory_order_relaxed);
     }
-    double now = job->NowSeconds();
+    size_t created = job->created.load(std::memory_order_acquire);
+    for (size_t i = 0; i < created; ++i) {
+      Replica& r = *job->slots[i];
+      std::lock_guard<std::mutex> stats_lock(r.mu);
+      tick.overdue += r.stats.overdue;
+      tick.completed += r.stats.processed + r.stats.expired;
+    }
+    tick.level = job->variant_level.load(std::memory_order_relaxed);
+    tick.now = job->NowSeconds();
 
-    // Horizontal scaling, with hysteresis: a dwell between resizes, and
-    // scale-down additionally requires several consecutive low ticks.
-    auto up_at = static_cast<int64_t>(opts.scale_up_pressure *
-                                      static_cast<double>(active) *
-                                      static_cast<double>(max_b));
-    auto down_at = static_cast<int64_t>(
-        opts.scale_down_pressure * static_cast<double>(active - 1) *
-        static_cast<double>(max_b));
-    if (active < job->max_replicas && queued > up_at &&
-        now - last_resize >= opts.autoscale_dwell) {
-      StartReplica(job, active);
-      {
-        std::lock_guard<std::mutex> stats_lock(job->mu);
-        ++job->scale_ups;
-      }
-      last_resize = now;
-      low_ticks = 0;
-    } else if (active > job->min_replicas) {
-      if (queued + inflight <= down_at) {
-        ++low_ticks;
-      } else {
-        low_ticks = 0;
-      }
-      if (low_ticks >= kScaleDownTicks &&
-          now - last_resize >= opts.autoscale_dwell) {
-        RetireReplica(*job, active - 1);
-        {
-          std::lock_guard<std::mutex> stats_lock(job->mu);
-          ++job->scale_downs;
-        }
-        last_resize = now;
-        low_ticks = 0;
-      }
-    } else {
-      low_ticks = 0;
+    ControllerAction action = ControllerStep(tick, limits, &state);
+    if (action.resize > 0) StartReplica(job, tick.active);
+    if (action.resize < 0) RetireReplica(*job, tick.active - 1);
+    if (action.shift != 0) {
+      job->variant_level.store(tick.level + action.shift,
+                               std::memory_order_relaxed);
     }
-
-    // Accuracy-for-latency variant ladder (Loki-style): once horizontal
-    // scaling is exhausted and the overdue fraction stays high, drop the
-    // slowest models; restore them when pressure stays low.
-    if (max_level > 0) {
-      int64_t overdue = 0;
-      int64_t completed = 0;
-      size_t created = job->created.load(std::memory_order_acquire);
-      for (size_t i = 0; i < created; ++i) {
-        Replica& r = *job->slots[i];
-        std::lock_guard<std::mutex> stats_lock(r.mu);
-        overdue += r.stats.overdue;
-        completed += r.stats.processed + r.stats.expired;
-      }
-      int64_t d_over = overdue - prev_overdue;
-      int64_t d_comp = completed - prev_completed;
-      prev_overdue = overdue;
-      prev_completed = completed;
-      if (d_comp > 0) {
-        double rate = static_cast<double>(d_over) /
-                      static_cast<double>(d_comp);
-        if (rate > opts.downshift_overdue_rate) {
-          ++high_overdue_ticks;
-          low_overdue_ticks = 0;
-        } else if (rate < opts.upshift_overdue_rate &&
-                   queued <= static_cast<int64_t>(active) * max_b) {
-          ++low_overdue_ticks;
-          high_overdue_ticks = 0;
-        } else {
-          high_overdue_ticks = 0;
-          low_overdue_ticks = 0;
-        }
-      }
-      int level = job->variant_level.load(std::memory_order_relaxed);
-      if (level < max_level && high_overdue_ticks >= kDownshiftTicks &&
-          active >= job->max_replicas &&
-          now - last_shift >= opts.autoscale_dwell) {
-        job->variant_level.store(level + 1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> stats_lock(job->mu);
-          ++job->variant_shifts;
-        }
-        last_shift = now;
-        high_overdue_ticks = 0;
-      } else if (level > 0 && low_overdue_ticks >= kUpshiftTicks &&
-                 now - last_shift >= 2.0 * opts.autoscale_dwell) {
-        job->variant_level.store(level - 1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> stats_lock(job->mu);
-          ++job->variant_shifts;
-        }
-        last_shift = now;
-        low_overdue_ticks = 0;
-      }
+    if (action.resize != 0 || action.shift != 0) {
+      std::lock_guard<std::mutex> stats_lock(job->mu);
+      job->scale_ups += action.resize > 0 ? 1 : 0;
+      job->scale_downs += action.resize < 0 ? 1 : 0;
+      job->variant_shifts += action.shift != 0 ? 1 : 0;
     }
-
     lock.lock();
   }
 }
 
 double InferenceRuntime::EnsembleAccuracy(const Job& job, uint32_t mask) {
-  if (job.opts.ensemble_accuracy != nullptr) {
-    return job.opts.ensemble_accuracy(mask);
-  }
   double best = 0.0;
   for (size_t m = 0; m < job.accuracies.size(); ++m) {
     if (mask & (1u << m)) best = std::max(best, job.accuracies[m]);
@@ -852,7 +783,7 @@ double InferenceRuntime::ProcessBatch(Job& job, Replica& self,
   // batch, each charged exactly once.
   double accuracy = EnsembleAccuracy(job, model_mask);
   int64_t charged = overdue + expired_unrewarded;
-  double reward = BatchReward(accuracy, b, charged, job.opts.beta);
+  double reward = BatchReward(accuracy, b, charged, kRewardBeta);
   {
     std::lock_guard<std::mutex> lock(self.mu);
     self.stats.processed += b;

@@ -37,6 +37,9 @@ struct ServableModel {
 };
 
 /// Serving configuration of one inference job (the knobs of §5 / Alg. 3).
+/// Algorithm 3's delta is kBackoffDeltaFraction * tau, Equation 7's beta is
+/// kRewardBeta, and the replica controller's thresholds are the constants
+/// next to ControllerStep.
 struct RuntimeOptions {
   /// Latency SLO tau, seconds. Requests answered later than this count as
   /// overdue (they are still answered — the SLO is soft, as in the paper).
@@ -46,8 +49,6 @@ struct RuntimeOptions {
   /// Bounded request queue; submissions beyond it are rejected
   /// (kUnavailable) and counted as dropped.
   size_t queue_capacity = 4096;
-  /// AIMD back-off constant delta = fraction * tau (Alg. 3).
-  double backoff_delta_fraction = 0.1;
   /// Measure c(m, b) with real forwards at deploy time so the policy sees
   /// calibrated latency profiles; OFF uses zero-latency profiles (the
   /// policy then flushes purely on queue waiting time).
@@ -66,14 +67,6 @@ struct RuntimeOptions {
   /// (|M| > 1) is used. Each policy instance runs exclusively on its
   /// replica's dispatcher thread.
   PolicyFactory policy_factory;
-  /// Equation 7 accuracy/latency balance for the realized per-batch reward
-  /// fed back through SchedulerPolicy::Feedback.
-  double beta = 1.0;
-  /// Surrogate ensemble accuracy a(M[v]) used in the reward; null defaults
-  /// to the most accurate selected member (exact for |M| = 1, a lower
-  /// bound for larger ensembles — plug an EnsembleAccuracyTable here for
-  /// the Figure 6 surrogate).
-  std::function<double(uint32_t)> ensemble_accuracy;
 
   /// --- Replicated serving plane (DESIGN.md §15) ---
   /// Initial number of replica dispatchers. Each replica owns clones of
@@ -90,27 +83,83 @@ struct RuntimeOptions {
   /// within [min_replicas, max_replicas] from queue pressure and, once
   /// horizontal scaling is exhausted, downshifts the ensemble variant
   /// (drops the slowest models) under sustained overdue pressure —
-  /// accuracy traded for latency, with hysteresis both ways.
+  /// accuracy traded for latency, with hysteresis both ways (ControllerStep).
   bool autoscale = false;
-  /// Controller tick period, seconds.
-  double autoscale_interval = 0.02;
   /// Minimum time between two resize (or variant-shift) actions: the
   /// hysteresis dwell that prevents flapping.
   double autoscale_dwell = 0.25;
-  /// Scale up when queued > scale_up_pressure * active * max(B): the
-  /// backlog exceeds what the active replicas clear in one full batch each.
-  double scale_up_pressure = 1.0;
-  /// Scale down when queued + inflight stays below
-  /// scale_down_pressure * (active - 1) * max(B) for several consecutive
-  /// ticks — the remaining replicas absorb the load with slack.
-  double scale_down_pressure = 0.25;
-  /// Variant downshift when the per-tick overdue fraction (d overdue /
-  /// d completions) exceeds this while the replica set is maxed out;
-  /// upshift restores accuracy when it falls back below
-  /// upshift_overdue_rate with an idle queue.
-  double downshift_overdue_rate = 0.20;
-  double upshift_overdue_rate = 0.02;
 };
+
+/// Equation 7's accuracy/latency balance beta in the realized reward the
+/// runtime feeds back through SchedulerPolicy::Feedback.
+constexpr double kRewardBeta = 1.0;
+
+/// --- The replica controller (DESIGN.md §15) ---
+/// Controller tick period, seconds.
+constexpr double kControllerTick = 0.02;
+/// Scale up when queued > kScaleUpPressure * active * max(B): the backlog
+/// exceeds what the active replicas clear in one full batch each.
+constexpr double kScaleUpPressure = 1.0;
+/// Scale down when queued + inflight stays at or below
+/// kScaleDownPressure * (active - 1) * max(B) for kScaleDownTicks
+/// consecutive ticks: the remaining replicas absorb the load with slack.
+constexpr double kScaleDownPressure = 0.25;
+constexpr int kScaleDownTicks = 3;
+/// Variant downshift when the per-tick overdue fraction (d overdue /
+/// d completions) exceeds kDownshiftOverdueRate for kDownshiftTicks ticks
+/// while the replica set is maxed out; upshift restores accuracy after
+/// kUpshiftTicks ticks below kUpshiftOverdueRate with at most a full batch
+/// per replica queued.
+constexpr double kDownshiftOverdueRate = 0.20;
+constexpr int kDownshiftTicks = 3;
+constexpr double kUpshiftOverdueRate = 0.02;
+constexpr int kUpshiftTicks = 5;
+
+/// What the controller reads at one tick.
+struct ControllerTick {
+  double now = 0.0;         // seconds on the job clock
+  size_t active = 0;        // running replicas
+  int64_t queued = 0;       // requests in the job's queue
+  int64_t inflight = 0;     // requests in the active replicas' batches
+  int64_t overdue = 0;      // lifetime overdue over every replica
+  int64_t completed = 0;    // lifetime processed + expired
+  int level = 0;            // current accuracy variant
+};
+
+/// The controller's fixed bounds for one job.
+struct ControllerLimits {
+  size_t min_replicas = 1;
+  size_t max_replicas = 1;
+  int max_level = 0;        // deepest variant: deployed models - 1
+  int64_t max_batch = 1;    // max(B)
+  double dwell = 0.25;      // RuntimeOptions::autoscale_dwell
+};
+
+/// Hysteresis carried from one tick to the next.
+struct ControllerState {
+  double last_resize = 0.0;
+  double last_shift = 0.0;
+  int low_ticks = 0;
+  int high_overdue_ticks = 0;
+  int low_overdue_ticks = 0;
+  int64_t prev_overdue = 0;
+  int64_t prev_completed = 0;
+};
+
+/// One tick's action: resize +1 starts a replica and -1 retires the
+/// highest; shift +1 drops the next slowest model and -1 restores one.
+struct ControllerAction {
+  int resize = 0;
+  int shift = 0;
+};
+
+/// The replica controller's decision for one tick: horizontal scaling and
+/// the accuracy-variant ladder, each with its dwell and consecutive-tick
+/// hysteresis. Reads no clock and takes no lock; `tick.now` is the only
+/// time it sees.
+ControllerAction ControllerStep(const ControllerTick& tick,
+                                const ControllerLimits& limits,
+                                ControllerState* state);
 
 /// Point-in-time gauges of one serving replica, read under the same mutex
 /// hold as its processed counter.
@@ -391,8 +440,7 @@ class InferenceRuntime {
   static void StopJob(Job& job);
   /// Builds the policy instance for one replica (factory or greedy
   /// default).
-  static std::unique_ptr<SchedulerPolicy> MakePolicy(const Job& job,
-                                                     size_t replica_index);
+  static std::unique_ptr<SchedulerPolicy> MakePolicy(const Job& job);
   /// Activates slot `index` (== job->active): constructs it on first use
   /// (net clones, policy), starts its dispatcher thread, then publishes the
   /// new active count. Caller must be the only lifecycle writer (Deploy
@@ -411,6 +459,8 @@ class InferenceRuntime {
   static double ProcessBatch(Job& job, Replica& self,
                              std::vector<Pending> batch, uint32_t model_mask,
                              int64_t expired_unrewarded);
+  /// a(M[v]) in the realized reward: the most accurate selected model
+  /// (exact for |M| = 1, a lower bound for a larger ensemble).
   static double EnsembleAccuracy(const Job& job, uint32_t model_mask);
 
   mutable std::mutex mu_;  // guards jobs_ only

@@ -27,15 +27,7 @@ namespace rafiki::serving {
 struct RlSchedulerOptions {
   /// Queue-status feature length (pad with 0 / truncate, §5.2).
   int queue_feature_len = 20;
-  double beta = 1.0;  // Equation 7 balance
   rl::ActorCriticOptions agent;
-  /// Optional penalty when the chosen action is invalid (a selected model
-  /// is busy): the scheduler waits instead. Defaults to 0 (no feedback) —
-  /// the decision point recurs every tick while models are busy, so even a
-  /// small penalty accumulates against exactly the large ensembles and
-  /// batches that Equation 7 is supposed to reward, biasing the agent
-  /// toward single models. The paper's reward is Equation 7 alone.
-  double invalid_action_penalty = 0.0;
   /// Drain-rate shaping added to the AGENT's reward (never to the reported
   /// Equation 7 metrics). Needed for learnability at overload: once the
   /// backlog exceeds tau, every request of every action is overdue and

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/ring_deque.h"
 #include "serving/reward.h"
 
 namespace rafiki::serving {
@@ -17,6 +18,11 @@ struct WindowAccum {
   double accuracy_sum = 0.0;
   double reward_sum = 0.0;
   int64_t batches = 0;
+};
+
+/// A queued request; only its arrival time matters to the scheduler.
+struct Queued {
+  double arrival = 0.0;
 };
 
 }  // namespace
@@ -44,13 +50,16 @@ ServingMetrics ServingSimulator::Run(SchedulerPolicy& policy,
       std::ceil(duration / options_.metrics_window));
   RAFIKI_CHECK_GE(num_windows, 1u) << "run must span at least one window";
 
-  RequestQueue queue(options_.queue_capacity);
+  RingDeque<Queued> queue;
   std::vector<double> busy_until(num_models, 0.0);
   std::vector<WindowAccum> windows(num_windows + 1);
   ServingMetrics metrics;
   double latency_sum = 0.0;
-  int64_t next_id = 0;
-  size_t prev_dropped = 0;
+  ServingObs obs;  // capacity reused across decisions
+  obs.tau = options_.tau;
+  obs.batch_sizes = &options_.batch_sizes;
+  obs.models = &models_;
+  obs.busy_remaining.resize(num_models);
 
   auto window_of = [&](double t) {
     auto w = static_cast<size_t>(t / options_.metrics_window);
@@ -58,59 +67,46 @@ ServingMetrics ServingSimulator::Run(SchedulerPolicy& policy,
   };
 
   for (double t = 0.0; t < duration; t += dt) {
-    // 1. New arrivals.
+    // 1. New arrivals. Beyond the queue's capacity they are dropped, which
+    // is overdue by construction (no response within tau).
     int64_t n = arrivals.Arrivals(t, dt);
+    int64_t dropped = 0;
     for (int64_t i = 0; i < n; ++i) {
-      queue.Push(Request{next_id++, t});
+      if (queue.size() >= options_.queue_capacity) {
+        ++dropped;
+      } else {
+        queue.push_back(Queued{t});
+      }
     }
     metrics.total_arrived += n;
     windows[window_of(t)].arrived += n;
-    // Queue drops are overdue-by-construction (no response within tau).
-    size_t dropped = queue.dropped();
-    if (dropped > prev_dropped) {
-      auto newly = static_cast<int64_t>(dropped - prev_dropped);
-      windows[window_of(t)].overdue += newly;
-      metrics.total_dropped += newly;
-      prev_dropped = dropped;
-    }
+    windows[window_of(t)].overdue += dropped;
+    metrics.total_dropped += dropped;
 
     // 2. Decision sweep: at most one dispatch per model per instant.
     for (size_t sweep = 0; sweep < num_models; ++sweep) {
       if (queue.empty()) break;
-
-      ServingObs obs;
-      obs.now = t;
-      obs.tau = options_.tau;
-      obs.batch_sizes = &options_.batch_sizes;
-      obs.models = &models_;
-      obs.queue_len = queue.size();
-      obs.queue_waits = queue.Waits(t, 64);
-      obs.busy_remaining.resize(num_models);
       for (size_t m = 0; m < num_models; ++m) {
         obs.busy_remaining[m] = std::max(0.0, busy_until[m] - t);
       }
-
-      ServingAction action = policy.Decide(obs);
-      if (!action.process || action.model_mask == 0) break;
+      DispatchStep step =
+          StepDispatch(policy, queue, t, /*expire=*/false, &obs);
+      const ServingAction& action = step.action;
+      if (step.take == 0 || action.model_mask == 0) break;
 
       // The simulator enforces physical constraints: selected models must
-      // be free, and the batch cannot exceed the queue.
+      // be free (the step already clamped the batch to the queue).
       bool any_busy = false;
       for (size_t m = 0; m < num_models; ++m) {
         if ((action.model_mask & (1u << m)) && obs.busy_remaining[m] > 0.0) {
           any_busy = true;
         }
       }
-      if (any_busy) break;  // policy was already penalized in Decide
-
-      int64_t b_eff = std::min<int64_t>(action.batch_size,
-                                        static_cast<int64_t>(queue.size()));
-      if (b_eff <= 0) break;
-      std::vector<Request> batch = queue.PopOldest(
-          static_cast<size_t>(b_eff));
+      if (any_busy) break;  // a busy model cannot take the batch: wait
 
       // Dispatch: every selected model processes the batch; the ensemble
       // response is gated by the slowest selected model (§5.2).
+      int64_t b_eff = step.take;
       double completion = t;
       for (size_t m = 0; m < num_models; ++m) {
         if (!(action.model_mask & (1u << m))) continue;
@@ -124,8 +120,9 @@ ServingMetrics ServingSimulator::Run(SchedulerPolicy& policy,
               : models_.front().top1_accuracy;
 
       int64_t overdue = 0;
-      for (const Request& r : batch) {
-        double latency = completion - r.arrival_time;
+      for (int64_t i = 0; i < b_eff; ++i) {
+        double latency = completion - queue.front().arrival;
+        queue.pop_front();
         latency_sum += latency;
         if (latency > options_.tau) ++overdue;
       }

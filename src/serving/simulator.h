@@ -8,7 +8,6 @@
 #include "model/prediction_sim.h"
 #include "model/profile.h"
 #include "serving/policy.h"
-#include "serving/request.h"
 #include "serving/sine_arrival.h"
 
 namespace rafiki::serving {
@@ -16,7 +15,8 @@ namespace rafiki::serving {
 /// Discrete-event serving-node simulator (§7.2's "environment simulator").
 /// Virtual time advances in fixed decision intervals; a 1500-simulated-
 /// second experiment completes in well under a minute of real time while
-/// running the identical policy code a wall-clock deployment would.
+/// running the identical dispatch step (StepDispatch) and policy code a
+/// wall-clock deployment would.
 struct ServingSimOptions {
   /// Latency SLO tau; §7.2.1 uses 2 * c_inception_v3(64) = 0.56 s.
   double tau = 0.56;
@@ -29,6 +29,8 @@ struct ServingSimOptions {
   double metrics_window = 10.0;
   /// Equation 7 balance between accuracy and overdue penalty.
   double beta = 1.0;
+  /// Arrivals beyond this many queued requests are dropped ("new requests
+  /// have to be dropped", §7.2).
   size_t queue_capacity = 20000;
 };
 

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <random>
 #include <thread>
 #include <vector>
@@ -108,10 +109,18 @@ TEST(RngTest, LogUniformStaysInRange) {
 
 TEST(RngTest, GaussianMoments) {
   Rng rng(5);
-  RunningStat stat;
-  for (int i = 0; i < 20000; ++i) stat.Add(rng.Gaussian(1.0, 2.0));
-  EXPECT_NEAR(stat.mean(), 1.0, 0.08);
-  EXPECT_NEAR(stat.stddev(), 2.0, 0.08);
+  constexpr int kSamples = 20000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < kSamples; ++i) {
+    double x = rng.Gaussian(1.0, 2.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  double mean = sum / kSamples;
+  double variance = (sum_sq - kSamples * mean * mean) / (kSamples - 1);
+  EXPECT_NEAR(mean, 1.0, 0.08);
+  EXPECT_NEAR(std::sqrt(variance), 2.0, 0.08);
 }
 
 TEST(RngTest, ForkDecorrelates) {
@@ -209,30 +218,6 @@ TEST(BlockingQueueTest, CrossThreadHandoff) {
   EXPECT_EQ(count, 100);
 }
 
-TEST(RunningStatTest, BasicMoments) {
-  RunningStat s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.Add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_EQ(s.count(), 4u);
-}
-
-TEST(RunningStatTest, MergeMatchesSequential) {
-  RunningStat a, b, all;
-  Rng rng(9);
-  for (int i = 0; i < 500; ++i) {
-    double v = rng.Gaussian();
-    (i % 2 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.count(), all.count());
-}
-
 TEST(HistogramTest, BucketsAndClamping) {
   Histogram h(0.0, 1.0, 10);
   h.Add(0.05);
@@ -299,15 +284,6 @@ TEST(LatencyHistogramTest, SingleSampleAndMerge) {
   EXPECT_DOUBLE_EQ(empty.P50(), 0.0);
   a.Merge(empty);
   EXPECT_EQ(a.count(), 100u);
-}
-
-TEST(EwmaTest, ConvergesTowardInput) {
-  Ewma e(0.5);
-  EXPECT_TRUE(e.empty());
-  e.Add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-  e.Add(0.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
 }
 
 TEST(StringUtilTest, StrFormat) {

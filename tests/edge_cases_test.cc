@@ -92,7 +92,6 @@ TEST_P(TauSweepTest, GreedyDeadlineRuleConsistentAcrossSlos) {
       model::FindProfile("inception_v3").value()};
   serving::GreedyBatchPolicy policy(0);
   serving::ServingObs obs;
-  obs.now = 10.0;
   obs.tau = tau;
   obs.batch_sizes = &batches;
   obs.models = &models;

@@ -51,7 +51,7 @@ TEST(FrameTest, RoundTripsSingleFrame) {
 TEST(FrameTest, ReassemblesTornFramesFedByteAtATime) {
   std::string wire;
   AppendFrame(FrameType::kAnnounce, EncodeEndpointList({"a", "b/c"}), &wire);
-  AppendFrame(FrameType::kPing, "", &wire);
+  AppendFrame(FrameType::kMessage, "", &wire);
   AppendFrame(FrameType::kMessage, std::string(1000, 'x'), &wire);
 
   FrameDecoder decoder;
@@ -67,7 +67,8 @@ TEST(FrameTest, ReassemblesTornFramesFedByteAtATime) {
   auto endpoints = DecodeEndpointList(frames[0].payload);
   ASSERT_TRUE(endpoints.ok());
   EXPECT_EQ(endpoints.value(), (std::vector<std::string>{"a", "b/c"}));
-  EXPECT_EQ(frames[1].type, FrameType::kPing);
+  EXPECT_EQ(frames[1].type, FrameType::kMessage);
+  EXPECT_EQ(frames[1].payload, "");
   EXPECT_EQ(frames[2].payload, std::string(1000, 'x'));
 }
 
@@ -92,7 +93,7 @@ TEST(FrameTest, TruncatedLengthPrefixNeedsMoreBytes) {
 
 TEST(FrameTest, BadMagicPoisonsTheStream) {
   std::string wire;
-  AppendFrame(FrameType::kPing, "", &wire);
+  AppendFrame(FrameType::kMessage, "", &wire);
   wire[0] = 'X';
   FrameDecoder decoder;
   decoder.Feed(wire.data(), wire.size());
@@ -102,14 +103,14 @@ TEST(FrameTest, BadMagicPoisonsTheStream) {
   EXPECT_TRUE(decoder.failed());
   // Poisoned: even after more valid bytes the error repeats.
   std::string good;
-  AppendFrame(FrameType::kPing, "", &good);
+  AppendFrame(FrameType::kMessage, "", &good);
   decoder.Feed(good.data(), good.size());
   EXPECT_FALSE(decoder.Next().ok());
 }
 
 TEST(FrameTest, UnsupportedVersionIsUnimplemented) {
   std::string wire;
-  AppendFrame(FrameType::kPing, "", &wire);
+  AppendFrame(FrameType::kMessage, "", &wire);
   wire[4] = 9;
   FrameDecoder decoder;
   decoder.Feed(wire.data(), wire.size());
@@ -119,19 +120,20 @@ TEST(FrameTest, UnsupportedVersionIsUnimplemented) {
 }
 
 TEST(FrameTest, UnknownTypeAndReservedBitsAreInvalid) {
-  {
+  // 0 and every value past kMessage are unknown frame types.
+  for (char type : {0, 4, 99}) {
     std::string wire;
-    AppendFrame(FrameType::kPing, "", &wire);
-    wire[5] = 99;  // unknown frame type
+    AppendFrame(FrameType::kMessage, "", &wire);
+    wire[5] = type;
     FrameDecoder decoder;
     decoder.Feed(wire.data(), wire.size());
     auto next = decoder.Next();
-    ASSERT_FALSE(next.ok());
+    ASSERT_FALSE(next.ok()) << "type " << int{type};
     EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
   }
   {
     std::string wire;
-    AppendFrame(FrameType::kPing, "", &wire);
+    AppendFrame(FrameType::kMessage, "", &wire);
     wire[6] = 1;  // reserved must be zero
     FrameDecoder decoder;
     decoder.Feed(wire.data(), wire.size());

@@ -621,23 +621,26 @@ TEST(InferenceRuntimeTest, PolicyFactoryReceivesCalibratedInit) {
   models.push_back(MakeIdentityModel(4, 0.85, "id"));
   RuntimeOptions options;
   options.tau = 0.25;
-  options.beta = 2.0;
   options.batch_sizes = {2, 8};
   options.calibrate = false;
   PolicyInit seen;
-  options.policy_factory =
-      [&seen](const PolicyInit& init) -> std::unique_ptr<SchedulerPolicy> {
+  // `init.profiles` is only valid during the factory call: copy it there.
+  std::vector<model::ModelProfile> seen_profiles;
+  options.policy_factory = [&](const PolicyInit& init)
+      -> std::unique_ptr<SchedulerPolicy> {
     seen = init;
+    seen_profiles = *init.profiles;
     return std::make_unique<GreedyBatchPolicy>(0,
                                                init.backoff_delta_fraction);
   };
   ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
   EXPECT_EQ(seen.num_models, 1u);
   EXPECT_EQ(seen.batch_sizes, (std::vector<int64_t>{2, 8}));
-  ASSERT_EQ(seen.accuracies.size(), 1u);
-  EXPECT_DOUBLE_EQ(seen.accuracies[0], 0.85);
-  EXPECT_DOUBLE_EQ(seen.tau, 0.25);
-  EXPECT_DOUBLE_EQ(seen.beta, 2.0);
+  ASSERT_EQ(seen_profiles.size(), 1u);
+  EXPECT_EQ(seen_profiles[0].name, "id");
+  EXPECT_DOUBLE_EQ(seen_profiles[0].top1_accuracy, 0.85);
+  EXPECT_DOUBLE_EQ(seen_profiles[0].BatchLatency(8), 0.0);  // uncalibrated
+  EXPECT_DOUBLE_EQ(seen.backoff_delta_fraction, kBackoffDeltaFraction);
   ASSERT_TRUE(runtime.Undeploy("j").ok());
 
   // A factory returning no policy is a deploy-time error, not a crash.
@@ -835,7 +838,6 @@ TEST(InferenceRuntimeTest, RlSingleModelLiveConvergesToEq7Optimum) {
   std::vector<model::ModelProfile> profiles(1);  // zero-latency
   profiles[0].top1_accuracy = 0.9;
   ServingObs obs;
-  obs.now = 1.0;
   obs.tau = 10.0;
   obs.batch_sizes = &kBatches;
   obs.models = &profiles;

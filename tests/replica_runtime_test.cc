@@ -10,8 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -85,6 +83,186 @@ void ExpectChargingInvariant(const InferenceJobMetrics& m) {
       << " pending=" << m.reward_pending_overdue;
 }
 
+// ControllerStep, tick by tick: the controller's hysteresis with no
+// threads and no clock. Times are exact binary fractions of a second.
+ControllerLimits StepLimits(size_t min_replicas, size_t max_replicas,
+                            int max_level) {
+  ControllerLimits limits;
+  limits.min_replicas = min_replicas;
+  limits.max_replicas = max_replicas;
+  limits.max_level = max_level;
+  limits.max_batch = 4;
+  limits.dwell = 0.25;
+  return limits;
+}
+
+TEST(ControllerStepTest, ScalesUpOnlyPastAFullBatchPerReplicaAfterTheDwell) {
+  ControllerLimits limits = StepLimits(1, 4, 0);
+  ControllerState state;  // last resize at t = 0
+  ControllerTick tick;
+  tick.active = 2;
+  tick.queued = 2 * 4;  // exactly one full batch per replica: no pressure
+  for (int i = 1; i <= 32; ++i) {
+    tick.now = i / 16.0;
+    EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 0) << tick.now;
+  }
+  state = ControllerState{};
+  tick.queued = 2 * 4 + 1;
+  for (double now : {0.0625, 0.125, 0.1875}) {  // inside the dwell
+    tick.now = now;
+    EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 0) << now;
+  }
+  tick.now = 0.25;
+  EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 1);
+  EXPECT_EQ(state.last_resize, 0.25);
+  // The next scale-up waits out a whole dwell again.
+  tick.active = 3;
+  tick.queued = 100;
+  tick.now = 0.4375;
+  EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 0);
+  tick.now = 0.5;
+  EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 1);
+  // At max_replicas no backlog grows the set.
+  tick.active = 4;
+  tick.queued = 1000;
+  tick.now = 2.0;
+  EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 0);
+}
+
+TEST(ControllerStepTest, ScalesDownOnlyAfterThreeLowTicksAndTheDwell) {
+  ControllerLimits limits = StepLimits(1, 4, 0);
+  ControllerState state;
+  ControllerTick tick;
+  // 3 replicas: low means queued + inflight <= 0.25 * 2 * 4 = 2.
+  tick.active = 3;
+  tick.queued = 1;
+  tick.inflight = 1;
+  // Low from the first tick, but the dwell since t = 0 holds it back.
+  for (double now : {0.0625, 0.125, 0.1875}) {
+    tick.now = now;
+    EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 0) << now;
+  }
+  tick.now = 0.25;
+  EXPECT_EQ(ControllerStep(tick, limits, &state).resize, -1);
+
+  // 2 replicas: low means queued + inflight <= 1. Past the dwell, two low
+  // ticks are not enough, and a high tick restarts the count.
+  tick.active = 2;
+  tick.inflight = 0;
+  int resized_at = 0;
+  const int64_t queued[] = {1, 1, 5, 0, 1, 1};
+  for (int i = 0; i < 6; ++i) {
+    tick.now = 1.0 + i / 16.0;
+    tick.queued = queued[i];
+    if (ControllerStep(tick, limits, &state).resize == -1) resized_at = i;
+  }
+  EXPECT_EQ(resized_at, 5) << "scale-down after the third consecutive low";
+  // At min_replicas nothing shrinks.
+  tick.active = 1;
+  tick.queued = 0;
+  for (int i = 1; i <= 16; ++i) {
+    tick.now = 2.0 + i / 16.0;
+    EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 0);
+  }
+}
+
+TEST(ControllerStepTest, AlternatingPressureInsideTheDwellNeverResizes) {
+  ControllerLimits limits = StepLimits(1, 64, 0);
+  ControllerState state;
+  ControllerTick tick;
+  tick.active = 2;
+  // 15 ticks inside the dwell that alternate a flood with an idle queue.
+  for (int i = 1; i < 16; ++i) {
+    tick.now = i / 64.0;
+    tick.queued = i % 2 == 1 ? 1000 : 0;
+    EXPECT_EQ(ControllerStep(tick, limits, &state).resize, 0) << tick.now;
+  }
+  // Kept up for much longer, it scales up at most once per dwell and never
+  // down: the idle ticks never line up three in a row.
+  double last_up = 0.0;
+  for (int i = 16; i < 512; ++i) {
+    tick.now = i / 64.0;
+    tick.queued = i % 2 == 1 ? 1000 : 0;
+    int resize = ControllerStep(tick, limits, &state).resize;
+    EXPECT_GE(resize, 0) << tick.now;
+    if (resize == 1) {
+      EXPECT_GE(tick.now - last_up, limits.dwell);
+      last_up = tick.now;
+    }
+  }
+  EXPECT_GT(last_up, 0.0);
+}
+
+TEST(ControllerStepTest, DownshiftsOnlyMaxedOutAfterThreeHighOverdueTicks) {
+  ControllerLimits limits = StepLimits(1, 2, /*max_level=*/2);
+  ControllerTick tick;
+  tick.inflight = 8;  // keeps the scale-down count out of the picture
+  // Every tick 10 requests complete, 5 of them overdue: rate 0.5 > 0.2.
+  auto overdue_tick = [&](ControllerState* state, double now) {
+    tick.now = now;
+    tick.completed += 10;
+    tick.overdue += 5;
+    return ControllerStep(tick, limits, state).shift;
+  };
+  // Below max_replicas, sustained overdue pressure never downshifts.
+  ControllerState spare;
+  tick.active = 1;
+  for (int i = 1; i <= 16; ++i) EXPECT_EQ(overdue_tick(&spare, i / 4.0), 0);
+
+  // Maxed out: the first two high ticks wait, the third downshifts.
+  ControllerState state;
+  tick.active = 2;
+  EXPECT_EQ(overdue_tick(&state, 1.0), 0);
+  EXPECT_EQ(overdue_tick(&state, 1.0625), 0);
+  // A tick with no completions carries no rate and keeps the count.
+  tick.now = 1.09375;
+  EXPECT_EQ(ControllerStep(tick, limits, &state).shift, 0);
+  EXPECT_EQ(overdue_tick(&state, 1.125), 1);
+  tick.level = 1;
+  // The next level needs three more high ticks and the dwell.
+  EXPECT_EQ(overdue_tick(&state, 1.1875), 0);
+  EXPECT_EQ(overdue_tick(&state, 1.25), 0);
+  EXPECT_EQ(overdue_tick(&state, 1.3125), 0);  // three, inside the dwell
+  EXPECT_EQ(overdue_tick(&state, 1.375), 1);   // dwell over
+  // The last level keeps one model: nothing further to drop.
+  tick.level = 2;
+  for (int i = 1; i <= 16; ++i) {
+    EXPECT_EQ(overdue_tick(&state, 2.0 + i / 4.0), 0);
+  }
+}
+
+TEST(ControllerStepTest, UpshiftsAfterFiveQuietTicksAndTwiceTheDwell) {
+  ControllerLimits limits = StepLimits(1, 1, /*max_level=*/1);
+  ControllerTick tick;
+  tick.active = 1;
+  tick.level = 1;
+  // A quiet tick: 10 completions, none overdue, at most a full batch
+  // (4) queued per replica.
+  auto quiet_tick = [&](ControllerState* state, double now, int64_t queued) {
+    tick.now = now;
+    tick.queued = queued;
+    tick.completed += 10;
+    return ControllerStep(tick, limits, state).shift;
+  };
+  ControllerState state;  // last shift at t = 0
+  // The fifth quiet tick comes at 0.3125 s; 2 x dwell holds until 0.5 s.
+  for (int i = 1; i < 8; ++i) {
+    EXPECT_EQ(quiet_tick(&state, i / 16.0, 4), 0) << i;
+  }
+  EXPECT_EQ(quiet_tick(&state, 0.5, 4), -1);
+
+  // Long after the dwell: four quiet ticks, then one with more than a full
+  // batch queued, restart the count.
+  state = ControllerState{};
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(quiet_tick(&state, 5.0 + i, 4), 0);
+  EXPECT_EQ(quiet_tick(&state, 9.0, 5), 0);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(quiet_tick(&state, 10.0 + i, 0), 0);
+  EXPECT_EQ(quiet_tick(&state, 14.0, 0), -1);
+  // At level 0 there is nothing to restore.
+  tick.level = 0;
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(quiet_tick(&state, 20.0 + i, 0), 0);
+}
+
 TEST(ReplicaRuntimeTest, StaticReplicasServeCorrectlyAndAggregate) {
   InferenceRuntime runtime;
   std::vector<ServableModel> models;
@@ -137,9 +315,7 @@ TEST(ReplicaRuntimeTest, StaticReplicasServeCorrectlyAndAggregate) {
 }
 
 TEST(ReplicaRuntimeTest, PolicyFactorySeesReplicaIndices) {
-  std::mutex mu;
-  std::set<size_t> indices;
-  size_t num_replicas_seen = 0;
+  std::atomic<int> built{0};
   InferenceRuntime runtime;
   std::vector<ServableModel> models;
   models.push_back(MakeIdentityModel(4, 0.9, "id"));
@@ -147,22 +323,15 @@ TEST(ReplicaRuntimeTest, PolicyFactorySeesReplicaIndices) {
   options.replicas = 3;
   options.policy_factory =
       [&](const PolicyInit& init) -> std::unique_ptr<SchedulerPolicy> {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      indices.insert(init.replica_index);
-      num_replicas_seen = init.num_replicas;
-    }
+    ++built;
     return std::make_unique<GreedyBatchPolicy>(0,
                                                init.backoff_delta_fraction);
   };
   ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    // Deploy validates the factory once with index 0, then builds one
-    // policy per started replica.
-    EXPECT_EQ(indices, (std::set<size_t>{0, 1, 2}));
-    EXPECT_EQ(num_replicas_seen, 3u);
-  }
+  // Deploy validates the factory once, then builds one policy per started
+  // replica: each replica owns its policy.
+  EXPECT_EQ(built.load(), 1 + 3);
+  EXPECT_EQ(MustMetrics(runtime, "j").replicas, 3);
   ASSERT_TRUE(runtime.Undeploy("j").ok());
 }
 
@@ -217,9 +386,7 @@ TEST(ReplicaRuntimeTest, AutoscaleStormConservesAndCharges504ExactlyOnce) {
   options.min_replicas = 1;
   options.max_replicas = 4;
   options.autoscale = true;
-  options.autoscale_interval = 0.002;
   options.autoscale_dwell = 0.02;
-  options.scale_up_pressure = 0.5;
   ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
 
   std::atomic<int64_t> accepted{0};
@@ -330,9 +497,7 @@ TEST(ReplicaRuntimeTest, VariantDownshiftTradesAccuracyForLatency) {
   options.replicas = 1;
   options.max_replicas = 1;  // horizontal scaling exhausted from the start
   options.autoscale = true;  // the controller also drives the variant ladder
-  options.autoscale_interval = 0.002;
   options.autoscale_dwell = 0.02;
-  options.downshift_overdue_rate = 0.10;
   ASSERT_TRUE(runtime.Deploy("j", std::move(models), options).ok());
 
   std::atomic<bool> stop{false};

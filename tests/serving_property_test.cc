@@ -2,7 +2,9 @@
 // bound invariants that must hold for every policy at every load level.
 
 #include <cmath>
+#include <set>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "model/profile.h"
 #include "serving/greedy_batch.h"
@@ -129,7 +131,6 @@ TEST_P(GreedyInvariantTest, NeverOverdrawsQueueOrBusyModels) {
   for (int busy_mask = 0; busy_mask < 8; ++busy_mask) {
     for (double wait : {0.0, 0.2, 0.5, 1.0}) {
       ServingObs obs;
-      obs.now = 50.0;
       obs.tau = 0.56;
       obs.batch_sizes = &batches;
       obs.models = &models;
@@ -161,6 +162,64 @@ TEST_P(GreedyInvariantTest, NeverOverdrawsQueueOrBusyModels) {
 
 INSTANTIATE_TEST_SUITE_P(QueueLengths, GreedyInvariantTest,
                          ::testing::Values(0, 1, 5, 16, 40, 64, 200));
+
+TEST(PushWakesPropertyTest, APushThatSleepsNeverChangesThePlan) {
+  // A dispatcher that Algorithm 3 told to wait sleeps until flush_in
+  // unless a push wakes it. So every push PushWakes lets sleep must leave
+  // PlanGreedy's batch and flush_in exactly as they were. c(b) grows with
+  // b, so a push below min(B) that slept would show as an earlier
+  // flush_in.
+  Rng rng(31);
+  int64_t sleeping = 0;
+  int64_t changed = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::set<int64_t> sizes;
+    int64_t min_b = rng.UniformInt(1, 32);
+    sizes.insert(min_b);
+    for (int64_t k = rng.UniformInt(0, 4); k > 0; --k) {
+      sizes.insert(min_b + rng.UniformInt(1, 64));
+    }
+    const std::vector<int64_t> batch_sizes(sizes.begin(), sizes.end());
+    std::vector<model::ModelProfile> models(
+        static_cast<size_t>(rng.UniformInt(1, 3)));
+    for (model::ModelProfile& m : models) {
+      m.latency_intercept = rng.Uniform(0.0, 0.01);
+      m.latency_slope = rng.Uniform(1e-4, 2e-3);
+    }
+    auto mask = static_cast<uint32_t>(
+        rng.UniformInt(1, (int64_t{1} << models.size()) - 1));
+    const double tau = rng.Uniform(0.05, 1.0);
+    const double delta = 0.1 * tau;
+
+    // A queue of len requests, oldest first, then one push at the same
+    // instant: the new request waits 0.
+    auto len = static_cast<size_t>(rng.UniformInt(1, *sizes.rbegin() + 8));
+    ServingObs before;
+    before.tau = tau;
+    before.batch_sizes = &batch_sizes;
+    before.models = &models;
+    before.queue_len = len;
+    double wait = rng.Uniform(0.0, tau);
+    for (size_t i = 0; i < std::min(len, kMaxObservedWaits); ++i) {
+      before.queue_waits.push_back(wait);
+      wait = rng.Uniform(0.0, wait);
+    }
+    ServingObs after = before;
+    after.queue_len = len + 1;
+    if (after.queue_waits.size() < kMaxObservedWaits) {
+      after.queue_waits.push_back(0.0);
+    }
+    if (PushWakes(batch_sizes, len + 1)) continue;
+
+    ++sleeping;
+    GreedyPlan plan = PlanGreedy(before, mask, delta);
+    GreedyPlan next = PlanGreedy(after, mask, delta);
+    if (plan.batch != next.batch || plan.flush_in != next.flush_in) ++changed;
+  }
+  RecordProperty("pushes_that_slept", std::to_string(sleeping));
+  EXPECT_GT(sleeping, 5000);
+  EXPECT_EQ(changed, 0) << "of " << sleeping << " pushes that slept";
+}
 
 }  // namespace
 }  // namespace rafiki::serving

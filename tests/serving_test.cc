@@ -1,9 +1,9 @@
 #include <cmath>
 
+#include "common/ring_deque.h"
 #include "gtest/gtest.h"
 #include "model/profile.h"
 #include "serving/greedy_batch.h"
-#include "serving/request.h"
 #include "serving/reward.h"
 #include "serving/rl_scheduler.h"
 #include "serving/simulator.h"
@@ -30,7 +30,6 @@ ServingObs MakeObs(const std::vector<model::ModelProfile>& models,
   b = batch_sizes;
   m = models;
   ServingObs obs;
-  obs.now = 100.0;
   obs.tau = tau;
   obs.batch_sizes = &b;
   obs.models = &m;
@@ -40,29 +39,108 @@ ServingObs MakeObs(const std::vector<model::ModelProfile>& models,
   return obs;
 }
 
-TEST(RequestQueueTest, FifoPopAndWaits) {
-  RequestQueue q;
-  q.Push({1, 0.0});
-  q.Push({2, 1.0});
-  q.Push({3, 2.0});
-  EXPECT_DOUBLE_EQ(q.OldestWait(5.0), 5.0);
-  auto waits = q.Waits(5.0, 10);
-  EXPECT_EQ(waits.size(), 3u);
-  EXPECT_DOUBLE_EQ(waits[0], 5.0);
-  EXPECT_DOUBLE_EQ(waits[2], 3.0);
-  auto batch = q.PopOldest(2);
-  EXPECT_EQ(batch[0].id, 1);
-  EXPECT_EQ(batch[1].id, 2);
-  EXPECT_EQ(q.size(), 1u);
+/// A queued request on virtual time.
+struct Arrival {
+  double arrival = 0.0;
+};
+
+/// Answers every decision with one fixed action and counts the decisions.
+class FixedActionPolicy : public SchedulerPolicy {
+ public:
+  explicit FixedActionPolicy(ServingAction action) : action_(action) {}
+  ServingAction Decide(const ServingObs& obs) override {
+    ++decisions;
+    seen_len = obs.queue_len;
+    return action_;
+  }
+  std::string name() const override { return "fixed"; }
+
+  int decisions = 0;
+  size_t seen_len = 0;
+
+ private:
+  ServingAction action_;
+};
+
+ServingObs StepObs(double tau) {
+  static const std::vector<int64_t> kB{1, 2, 4, 8};
+  static const std::vector<model::ModelProfile> kModels(1);
+  ServingObs obs;
+  obs.tau = tau;
+  obs.batch_sizes = &kB;
+  obs.models = &kModels;
+  obs.busy_remaining.assign(1, 0.0);
+  return obs;
 }
 
-TEST(RequestQueueTest, CapacityDrops) {
-  RequestQueue q(2);
-  EXPECT_TRUE(q.Push({1, 0.0}));
-  EXPECT_TRUE(q.Push({2, 0.0}));
-  EXPECT_FALSE(q.Push({3, 0.0}));
-  EXPECT_EQ(q.dropped(), 1u);
-  EXPECT_EQ(q.size(), 2u);
+TEST(DispatchStepTest, ExpiresExactlyThePrefixOlderThanTau) {
+  RingDeque<Arrival> queue;
+  // At now = 2 with tau = 1 the waits are 2, 1.5, 1, 0.5 and 1.8: the first
+  // two are older than tau, the third is exactly tau (not expired), and
+  // the stale fifth is not part of the prefix.
+  for (double arrival : {0.0, 0.5, 1.0, 1.5, 0.2}) {
+    queue.push_back(Arrival{arrival});
+  }
+  FixedActionPolicy policy(ServingAction{true, 1u, 8});
+  ServingObs obs = StepObs(/*tau=*/1.0);
+  DispatchStep step = StepDispatch(policy, queue, 2.0, /*expire=*/true, &obs);
+  EXPECT_EQ(step.expire, 2u);
+  EXPECT_EQ(step.take, 0);
+  EXPECT_EQ(policy.decisions, 0) << "an expiring step decides nothing";
+  EXPECT_EQ(queue.size(), 5u) << "the step only counts; the caller pops";
+
+  // Without expiry the same queue goes straight to the policy.
+  step = StepDispatch(policy, queue, 2.0, /*expire=*/false, &obs);
+  EXPECT_EQ(step.expire, 0u);
+  EXPECT_EQ(policy.decisions, 1);
+
+  // Once the caller removed the prefix, the next step decides.
+  queue.pop_front();
+  queue.pop_front();
+  step = StepDispatch(policy, queue, 2.0, /*expire=*/true, &obs);
+  EXPECT_EQ(step.expire, 0u);
+  EXPECT_EQ(policy.decisions, 2);
+  EXPECT_EQ(policy.seen_len, 3u);
+  EXPECT_EQ(step.take, 3);
+}
+
+TEST(DispatchStepTest, ClampsTheBatchToTheQueue) {
+  RingDeque<Arrival> queue;
+  for (int i = 0; i < 3; ++i) queue.push_back(Arrival{0.0});
+  ServingObs obs = StepObs(/*tau=*/1.0);
+  struct Case {
+    ServingAction action;
+    int64_t take;
+  };
+  for (const Case& c : {Case{{true, 1u, 8}, 3}, Case{{true, 1u, 2}, 2},
+                        Case{{true, 1u, 3}, 3}, Case{{true, 1u, 0}, 0},
+                        Case{{true, 1u, -4}, 0}, Case{{false, 1u, 8}, 0}}) {
+    FixedActionPolicy policy(c.action);
+    DispatchStep step =
+        StepDispatch(policy, queue, 0.5, /*expire=*/false, &obs);
+    EXPECT_EQ(step.take, c.take) << "batch " << c.action.batch_size;
+    // The action itself is kept for Feedback.
+    EXPECT_EQ(step.action.batch_size, c.action.batch_size);
+  }
+  EXPECT_EQ(queue.size(), 3u);
+}
+
+TEST(DispatchStepTest, ObservesAtMost64Waits) {
+  FixedActionPolicy policy(ServingAction{});
+  ServingObs obs = StepObs(/*tau=*/10.0);
+  RingDeque<Arrival> queue;
+  for (int i = 0; i < 10; ++i) queue.push_back(Arrival{0.01 * i});
+  StepDispatch(policy, queue, 2.0, /*expire=*/false, &obs);
+  EXPECT_EQ(obs.queue_len, 10u);
+  EXPECT_EQ(obs.queue_waits.size(), 10u);
+  for (int i = 10; i < 100; ++i) queue.push_back(Arrival{0.01 * i});
+  StepDispatch(policy, queue, 2.0, /*expire=*/false, &obs);
+  EXPECT_EQ(obs.queue_len, 100u);
+  ASSERT_EQ(obs.queue_waits.size(), kMaxObservedWaits);
+  EXPECT_EQ(kMaxObservedWaits, 64u);
+  // Oldest first, measured from `now`.
+  EXPECT_DOUBLE_EQ(obs.queue_waits.front(), 2.0);
+  EXPECT_DOUBLE_EQ(obs.queue_waits.back(), 2.0 - 0.01 * 63);
 }
 
 TEST(SineArrivalTest, CalibrationMatchesEquations) {
@@ -238,6 +316,61 @@ TEST(RlSchedulerTest, EmptyQueueNeverProcesses) {
   RlSchedulerPolicy policy(1, {16, 32, 48, 64}, nullptr, options);
   auto obs = MakeObs(SingleModel(), {16, 32, 48, 64}, 0, 0.0);
   EXPECT_FALSE(policy.Decide(obs).process);
+}
+
+TEST(RlSchedulerTest, SingleModelConvergesToEq7OptimumOnVirtualTime) {
+  // RlSingleModelLiveConvergesToEq7Optimum's scenario run through the
+  // dispatch step on virtual time: a zero-latency profile and tau = 10 s,
+  // so nothing is overdue and the Equation 7 reward is a * min(b, queue);
+  // the optimum at a full queue of 8 is the largest batch. Each of 400
+  // rounds queues 8 arrivals and dispatches until the queue is empty, as
+  // the live dispatcher does. No threads, no clock: every seed converges.
+  const std::vector<int64_t> kBatches = {1, 2, 4, 8};
+  std::vector<model::ModelProfile> profiles(1);  // zero-latency
+  profiles[0].top1_accuracy = 0.9;
+  for (uint64_t seed = 11; seed <= 20; ++seed) {
+    RlSchedulerOptions rl;
+    rl.agent.seed = seed;
+    rl.agent.update_every = 16;
+    rl.agent.policy_lr = 5e-3;
+    rl.agent.value_lr = 5e-3;
+    rl.throughput_shaping = 0.0;  // pure Equation 7
+    RlSchedulerPolicy policy(1, kBatches, /*accuracy_table=*/nullptr, rl);
+    ServingObs obs;
+    obs.tau = 10.0;
+    obs.batch_sizes = &kBatches;
+    obs.models = &profiles;
+    obs.busy_remaining.assign(1, 0.0);
+
+    RingDeque<Arrival> queue;
+    double now = 0.0;
+    int64_t learn_steps = 0;
+    for (int round = 0; round < 400; ++round) {
+      for (int i = 0; i < 8; ++i) queue.push_back(Arrival{now});
+      while (!queue.empty()) {
+        now += 1e-3;
+        DispatchStep step =
+            StepDispatch(policy, queue, now, /*expire=*/false, &obs);
+        ASSERT_GT(step.take, 0) << "RL waited on a non-empty queue";
+        for (int64_t i = 0; i < step.take; ++i) queue.pop_front();
+        policy.Feedback(obs, step.action,
+                        BatchReward(0.9, step.take, /*overdue_count=*/0,
+                                    /*beta=*/1.0));
+        ++learn_steps;
+      }
+    }
+    EXPECT_GT(learn_steps, 400);
+
+    // Evaluate the learned policy greedily at a full-queue state.
+    policy.set_explore(false);
+    obs.queue_waits.assign(8, 0.001);
+    obs.queue_len = 8;
+    ServingAction action = policy.Decide(obs);
+    ASSERT_TRUE(action.process);
+    EXPECT_EQ(action.model_mask, 1u);
+    EXPECT_EQ(action.batch_size, 8)
+        << "seed " << seed << " did not converge to the Eq. 7 optimum";
+  }
 }
 
 TEST(SimulatorTest, ConservationOfRequests) {
