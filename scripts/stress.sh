@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repeats the concurrent test suites until one fails: the HTTP server and
 # client, the gateway, the replicated serving plane, the inference runtime,
-# the load generator, the RPC bus, the reactor, and the tuning protocol's
-# studies and failure recovery. Run it in a tree that is already built, for
+# the allocation-free query path, the load generator, the RPC bus, the
+# reactor, and the tuning protocol's studies and failure recovery. Run it in a tree that is already built, for
 # example a sanitizer build, to hunt interleavings that a single pass rarely
 # hits.
 #
@@ -24,4 +24,4 @@ fi
 
 cd "$build_dir"
 ctest --output-on-failure --repeat "until-fail:$repeats" -j3 \
-  -R 'http_|gateway|replica|inference|loadgen|rpc_bus|event_loop|study|failure_recovery'
+  -R 'http_|gateway|replica|inference|query_alloc|loadgen|rpc_bus|event_loop|study|failure_recovery'

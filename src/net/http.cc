@@ -83,7 +83,7 @@ bool ParseContentLength(const char* s, size_t n, size_t* out) {
 
 }  // namespace
 
-std::string PercentDecode(const std::string& s, bool plus_as_space) {
+std::string PercentDecode(std::string_view s, bool plus_as_space) {
   std::string out;
   out.reserve(s.size());
   for (size_t i = 0; i < s.size(); ++i) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -11,7 +12,7 @@ namespace rafiki::net {
 /// Decodes %XX escapes; when `plus_as_space`, '+' becomes ' ' (the
 /// application/x-www-form-urlencoded convention used in query strings).
 /// Malformed escapes ("%G1", truncated "%2") are kept literally.
-std::string PercentDecode(const std::string& s, bool plus_as_space = false);
+std::string PercentDecode(std::string_view s, bool plus_as_space = false);
 
 /// Standard reason phrase for a status code ("OK", "Not Found", ...).
 const char* ReasonPhrase(int status);

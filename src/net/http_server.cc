@@ -7,7 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <new>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -46,68 +46,6 @@ HttpServer::AsyncHandler WrapSyncHandler(HttpServer::Handler handler) {
   };
 }
 
-/// Allocator with per-thread free lists of single-object blocks, used to
-/// recycle the allocate_shared node behind every WriterState. A block is
-/// cached on whichever thread drops the last reference; the steady state
-/// (handler allocates, completes inline, releases on the same loop) hits
-/// the cache every time and never touches the heap.
-template <typename T>
-class FreeListAllocator {
- public:
-  using value_type = T;
-
-  FreeListAllocator() = default;
-  template <typename U>
-  FreeListAllocator(const FreeListAllocator<U>&) {}  // NOLINT
-
-  T* allocate(size_t n) {
-    if (n == 1) {
-      auto& cache = Cache();
-      if (!cache.empty()) {
-        void* p = cache.back();
-        cache.pop_back();
-        return static_cast<T*>(p);
-      }
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-
-  void deallocate(T* p, size_t n) {
-    if (n == 1) {
-      auto& cache = Cache();
-      if (cache.size() < kMaxCached) {
-        cache.push_back(p);
-        return;
-      }
-    }
-    ::operator delete(p);
-  }
-
-  template <typename U>
-  bool operator==(const FreeListAllocator<U>&) const {
-    return true;
-  }
-  template <typename U>
-  bool operator!=(const FreeListAllocator<U>&) const {
-    return false;
-  }
-
- private:
-  static constexpr size_t kMaxCached = 256;
-
-  struct CacheHolder {
-    std::vector<void*> blocks;
-    ~CacheHolder() {
-      for (void* p : blocks) ::operator delete(p);
-    }
-  };
-
-  static std::vector<void*>& Cache() {
-    static thread_local CacheHolder holder;
-    return holder.blocks;
-  }
-};
-
 /// Copies a response into the slot's arena, reusing string capacities.
 void CopyResponseInto(const HttpResponse& from, HttpResponse* to) {
   to->status = from.status;
@@ -118,67 +56,103 @@ void CopyResponseInto(const HttpResponse& from, HttpResponse* to) {
 
 }  // namespace
 
+HttpServer::ResponseWriter::ResponseWriter(const ResponseWriter& other)
+    : slot_(other.slot_), completed_(other.completed_) {
+  if (slot_ != nullptr) slot_->holds.fetch_add(1, std::memory_order_relaxed);
+}
+
+HttpServer::ResponseWriter::ResponseWriter(ResponseWriter&& other) noexcept
+    : slot_(std::exchange(other.slot_, nullptr)),
+      completed_(other.completed_) {}
+
+HttpServer::ResponseWriter& HttpServer::ResponseWriter::operator=(
+    ResponseWriter other) noexcept {
+  std::swap(slot_, other.slot_);
+  std::swap(completed_, other.completed_);
+  return *this;
+}
+
+HttpServer::ResponseWriter::~ResponseWriter() {
+  if (slot_ != nullptr) DropWriter(slot_);
+}
+
 void HttpServer::ResponseWriter::Complete(const HttpResponse& response) {
-  if (state_ != nullptr) state_->Complete(response);
+  if (slot_ != nullptr && CompleteSlot(slot_, response)) {
+    slot_ = nullptr;
+    completed_ = true;
+  }
 }
 
 HttpResponse& HttpServer::ResponseWriter::response() const {
-  return state_->slot->response;
+  return slot_->response;
 }
 
 bool HttpServer::ResponseWriter::completed() const {
-  return state_ != nullptr &&
-         (state_->flags.load(std::memory_order_acquire) &
-          WriterState::kCompleted) != 0;
+  return completed_ ||
+         (slot_ != nullptr &&
+          (slot_->flags.load(std::memory_order_acquire) &
+           ResponseSlot::kCompleted) != 0);
 }
 
-void HttpServer::WriterState::Complete(const HttpResponse& response) {
-  int old = flags.fetch_or(kCompleted, std::memory_order_acq_rel);
-  if (old & kCompleted) return;  // one-shot: first completion wins
-  ResponseSlot* s = slot;
-  slot = nullptr;
-  // Build and serialize in the slot's arena before taking the core lock.
-  // Completing with the slot's own response() skips the copy entirely.
+HttpServer::ResponseSlot* HttpServer::ResponseWriter::Release() && {
+  return std::exchange(slot_, nullptr);
+}
+
+HttpServer::ResponseWriter HttpServer::ResponseWriter::Adopt(
+    ResponseSlot* handle) {
+  return ResponseWriter(handle);
+}
+
+bool HttpServer::CompleteSlot(ResponseSlot* s, const HttpResponse& response) {
+  int old = s->flags.fetch_or(ResponseSlot::kCompleted,
+                              std::memory_order_acq_rel);
+  if (old & ResponseSlot::kCompleted) return false;  // first completion wins
+  // Fill the slot's arena; completing with the slot's own response() skips
+  // the copy entirely. The owning worker serializes and counts it.
   if (&response != &s->response) CopyResponseInto(response, &s->response);
-  SerializeResponseHeadersTo(s->response, s->keep_alive, &s->head);
-  std::lock_guard<std::mutex> lock(core->mu);
-  HttpServer* server = core->server;
-  if (server == nullptr) {
-    // Stop() severed the core: no worker will apply this completion.
+  s->parked = (old & ResponseSlot::kHandlerReturned) != 0;
+  {
+    std::lock_guard<std::mutex> lock(s->core->mu);
+    if (HttpServer* server = s->core->server) {
+      Worker& w = *server->workers_[static_cast<size_t>(s->worker)];
+      if (w.loop->IsInLoopThread()) {
+        // Completed on the owning worker's own thread: applied at the end
+        // of this tick, after the handler has returned.
+        w.inline_completions.push_back(std::move(s));
+      } else {
+        // Two pointers fit std::function's in-place buffer: no allocation.
+        // The core lock held here orders this post before Stop() severs
+        // the core.
+        w.loop->Post([server, s] {
+          server->ApplyCompletion(
+              *server->workers_[static_cast<size_t>(s->worker)], s);
+        });
+      }
+      return true;
+    }
+  }
+  // Stop() severed the core: no worker will apply this completion, so the
+  // server's hold ends here. A stale writer copy may still hold the slot.
+  if (s->holds.fetch_sub(1, std::memory_order_acq_rel) == 1) delete s;
+  return true;
+}
+
+void HttpServer::DropWriter(ResponseSlot* s) {
+  if (s->holds.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if ((s->flags.load(std::memory_order_acquire) & ResponseSlot::kCompleted) !=
+      0) {
+    // The last hold was a stale copy's: the server already let go.
     delete s;
     return;
   }
-  // Completion is where the request stops being "in flight": the admission
-  // slot frees here, not when the handler returned.
-  server->inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  server->handled_.fetch_add(1, std::memory_order_relaxed);
-  server->responses_.fetch_add(1, std::memory_order_relaxed);
-  if (old & kHandlerReturned) {
-    server->async_pending_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  Worker& w = *server->workers_[static_cast<size_t>(s->worker)];
-  if (w.loop->IsInLoopThread()) {
-    // Completed on the owning worker's own thread: applied at the end of
-    // this tick, after the handler has returned.
-    w.inline_completions.push_back(std::move(s));
-    return;
-  }
-  // Two pointers fit std::function's in-place buffer: no allocation. The
-  // core lock held here orders this post before Stop() severs the core.
-  w.loop->Post([server, s] {
-    server->ApplyCompletion(*server->workers_[static_cast<size_t>(s->worker)],
-                            s);
-  });
-}
-
-HttpServer::WriterState::~WriterState() {
-  if ((flags.load(std::memory_order_acquire) & kCompleted) != 0) return;
   // Every copy of the writer was dropped without completing: answer 500 so
-  // neither the connection nor the admission slot leaks.
+  // neither the connection nor the admission slot leaks. The dropped hold
+  // becomes the server's.
+  s->holds.store(1, std::memory_order_relaxed);
   HttpResponse resp;
   resp.status = 500;
   resp.body = "error=handler dropped the response";
-  Complete(resp);
+  CompleteSlot(s, resp);
 }
 
 HttpServer::HttpServer(AsyncHandler handler, HttpServerOptions options)
@@ -315,10 +289,15 @@ HttpServer::ResponseSlot* HttpServer::AcquireSlot(Worker& w) {
     w.slot_pool.pop_back();
     return s;
   }
-  return new ResponseSlot();
+  auto* s = new ResponseSlot();
+  s->core = core_;
+  return s;
 }
 
 void HttpServer::RecycleSlot(Worker& w, ResponseSlot* slot) {
+  // A stale writer copy still holds the slot: the copy that releases last
+  // deletes it.
+  if (slot->holds.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   // Reset to defaults while keeping every string/vector capacity (that IS
   // the arena). The request is fully overwritten at the next parse.
   slot->response.status = 200;
@@ -336,6 +315,15 @@ void HttpServer::RecycleSlot(Worker& w, ResponseSlot* slot) {
 }
 
 void HttpServer::ApplyCompletion(Worker& w, ResponseSlot* slot) {
+  // Completion is where the request stops being "in flight": the admission
+  // slot frees here, not when the handler returned. Counting and
+  // serializing on the owning worker keeps every server-wide counter off
+  // the completing thread.
+  inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  handled_.fetch_add(1, std::memory_order_relaxed);
+  responses_.fetch_add(1, std::memory_order_relaxed);
+  if (slot->parked) async_pending_.fetch_sub(1, std::memory_order_relaxed);
+  SerializeResponseHeadersTo(slot->response, slot->keep_alive, &slot->head);
   const uint64_t conn_id = slot->conn_id;
   auto it = w.conns.find(conn_id);
   if (it == w.conns.end()) {
@@ -516,6 +504,7 @@ void HttpServer::TryParse(Worker& w, Connection& c) {
     if (c.parser.failed()) {
       parse_errors_.fetch_add(1, std::memory_order_relaxed);
       ResponseSlot* slot = AcquireSlot(w);
+      slot->holds.store(1, std::memory_order_relaxed);  // the server's
       slot->response.status = c.parser.error_status();
       slot->response.body.assign("error=");
       slot->response.body.append(c.parser.error());
@@ -531,6 +520,7 @@ void HttpServer::TryParse(Worker& w, Connection& c) {
     // Claim an arena and swap the parsed request into it; the parser gets
     // the slot's retired strings (and their capacities) back.
     ResponseSlot* slot = AcquireSlot(w);
+    slot->holds.store(1, std::memory_order_relaxed);  // the server's
     slot->request.swap(c.parser.request());
     c.parser.Reset();
     c.last_activity = Now();
@@ -580,21 +570,20 @@ void HttpServer::TryParse(Worker& w, Connection& c) {
 }
 
 void HttpServer::RunHandler(ResponseSlot* slot) {
-  auto state =
-      std::allocate_shared<WriterState>(FreeListAllocator<WriterState>());
-  state->core = core_;
-  state->slot = slot;
-  async_handler_(slot->request, ResponseWriter(state));
+  slot->flags.store(0, std::memory_order_relaxed);
+  slot->holds.store(1, std::memory_order_relaxed);  // the handler's writer
+  slot->parked = false;
+  async_handler_(slot->request, ResponseWriter(slot));
   // Handler returned without completing: the continuation is parked
   // elsewhere (async_pending until its owner completes the writer). The
   // two flag bits keep the gauge exact when completion races the return.
-  int old = state->flags.fetch_or(WriterState::kHandlerReturned,
-                                  std::memory_order_acq_rel);
-  if (!(old & WriterState::kCompleted)) {
+  // The slot is still alive here: a completion, inline or posted, is
+  // applied on this thread, after this function returns.
+  int old = slot->flags.fetch_or(ResponseSlot::kHandlerReturned,
+                                 std::memory_order_acq_rel);
+  if (!(old & ResponseSlot::kCompleted)) {
     async_pending_.fetch_add(1, std::memory_order_relaxed);
   }
-  // `state` drops here: if the handler kept no copy and never completed,
-  // ~WriterState answers 500 so the connection is not wedged.
 }
 
 void HttpServer::QueueSlotResponse(Worker& w, Connection& c, uint64_t seq,

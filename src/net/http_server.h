@@ -117,21 +117,26 @@ class HttpServer {
   /// stalls its event loop.
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-  struct WriterState;
-
-  /// Completion handle for one request. Copyable (copies share the same
-  /// one-shot state — the first Complete() wins, later calls are no-ops)
-  /// so it can be captured in std::function continuations. Thread-safe:
-  /// Complete() may be called from any thread, including after the server
-  /// started draining (the response is still delivered) or after Stop()
-  /// finished (the completion is dropped safely). If every copy is
-  /// destroyed without completing, a 500 is generated so the connection
-  /// and the admission slot are not leaked.
+  /// Completion handle for one request. Copyable: copies share the
+  /// request's one-shot state, which lives in its pooled slot together with
+  /// a count of live copies, so a writer is one pointer and takes no
+  /// allocation. The first Complete() wins and later calls are no-ops.
+  /// Thread-safe: Complete() may be called from any thread, including after
+  /// the server started draining (the response is still delivered) or after
+  /// Stop() finished (the completion is dropped safely). If every copy is
+  /// destroyed without completing, a 500 is generated so the connection and
+  /// the admission slot are not leaked.
   class ResponseWriter {
    public:
     ResponseWriter() = default;
+    ResponseWriter(const ResponseWriter& other);
+    ResponseWriter(ResponseWriter&& other) noexcept;
+    ResponseWriter& operator=(ResponseWriter other) noexcept;
+    ~ResponseWriter();
 
-    /// Completes the request; one-shot, thread-safe.
+    /// Completes the request; one-shot, thread-safe. The completing copy
+    /// hands its hold on the slot to the server and keeps only the fact
+    /// that it completed.
     void Complete(const HttpResponse& response);
 
     /// The request's pooled response object, for filling in place (avoids
@@ -141,13 +146,20 @@ class HttpServer {
     HttpResponse& response() const;
 
     bool completed() const;
-    bool valid() const { return state_ != nullptr; }
+    bool valid() const { return slot_ != nullptr || completed_; }
+
+    /// Moves this writer's hold into a raw handle and leaves the writer
+    /// empty. std::function keeps only trivially copyable callables in
+    /// place, so a continuation that must not allocate carries the handle
+    /// instead of a writer; exactly one Adopt() must take it back.
+    ResponseSlot* Release() &&;
+    static ResponseWriter Adopt(ResponseSlot* handle);
 
    private:
     friend class HttpServer;
-    explicit ResponseWriter(std::shared_ptr<WriterState> state)
-        : state_(std::move(state)) {}
-    std::shared_ptr<WriterState> state_;
+    explicit ResponseWriter(ResponseSlot* slot) : slot_(slot) {}
+    ResponseSlot* slot_ = nullptr;
+    bool completed_ = false;  // this copy completed; its hold went with it
   };
 
   /// Asynchronous handler: may complete the writer inline or hand it to
@@ -179,18 +191,32 @@ class HttpServer {
 
   HttpServerStats stats() const;
 
+  /// Shared between the server and every slot; the server pointer is
+  /// nulled under `mu` during Stop(), after which late completions are
+  /// dropped instead of touching freed workers.
+  struct AsyncCore {
+    std::mutex mu;
+    HttpServer* server = nullptr;
+  };
+
   /// One pooled request/response arena. The request is parsed into it, the
   /// response is built and serialized in it, and its bytes are written to
   /// the socket straight from it; afterwards it returns to a per-worker
   /// free list with all string capacities intact.
   ///
   /// A slot has one owner at a time: its worker while the handler runs,
-  /// then the WriterState, then the completion on its way back to the
-  /// worker, the in-order window, the output queue, and the free list. The
-  /// handler returns before its worker can apply the completion (inline
+  /// then the ResponseWriter copies, then the completion on its way back to
+  /// the worker, the in-order window, the output queue, and the free list.
+  /// The handler returns before its worker can apply the completion (inline
   /// completions are applied at the end of the tick, posted ones at a later
   /// tick), so the request stays readable for the handler's whole run.
+  /// Writer copies that outlive the completion keep the slot's memory: it
+  /// goes back to the free list when the last hold is released, and a
+  /// stale copy that releases last deletes it.
   struct ResponseSlot {
+    static constexpr int kCompleted = 1;
+    static constexpr int kHandlerReturned = 2;
+
     HttpRequest request;
     HttpResponse response;
     std::string head;  // serialized status line + headers (wire form)
@@ -201,6 +227,18 @@ class HttpServer {
     uint64_t conn_id = 0;
     uint64_t seq = 0;
     bool keep_alive = true;
+    /// One-shot completion state. `flags` bit 0 is "completed", bit 1 is
+    /// "handler returned" (they keep the async_pending gauge exact under
+    /// the completion/return race). `holds` counts the live writer copies,
+    /// plus one for the server from completion until the slot is recycled.
+    std::atomic<int> flags{0};
+    std::atomic<int> holds{0};
+    /// Set by the completer: the handler had returned before completion,
+    /// so the request was counted in async_pending.
+    bool parked = false;
+    /// The run this slot belongs to; outlives the server while a writer
+    /// copy still holds the slot.
+    std::shared_ptr<AsyncCore> core;
   };
 
  private:
@@ -280,41 +318,24 @@ class HttpServer {
     bool drain_armed = false;
   };
 
- public:
-  /// Shared between the server and every outstanding ResponseWriter; the
-  /// server pointer is nulled under `mu` during Stop(), after which late
-  /// completions are dropped instead of touching freed workers.
-  struct AsyncCore {
-    std::mutex mu;
-    HttpServer* server = nullptr;
-  };
-
-  /// One-shot completion state behind ResponseWriter. `flags` bit 0 is
-  /// "completed", bit 1 is "handler returned" (used to keep the
-  /// async_pending gauge exact under the completion/return race). Owns
-  /// `slot` until Complete() hands it back to the worker.
-  struct WriterState {
-    static constexpr int kCompleted = 1;
-    static constexpr int kHandlerReturned = 2;
-
-    std::shared_ptr<AsyncCore> core;
-    ResponseSlot* slot = nullptr;
-    std::atomic<int> flags{0};
-
-    void Complete(const HttpResponse& response);
-    ~WriterState();  // completes with 500 if nobody ever completed
-  };
-
  private:
   /// Listener readiness on worker 0's loop: accepts until EAGAIN and posts
   /// each socket to the next worker in round-robin order.
   void OnAcceptable();
   void WorkerLoop(int index);
 
-  /// Applies one completed response: files it in its connection's in-order
+  /// Applies one completed response on its owning worker: counts it,
+  /// serializes its header block, files it in its connection's in-order
   /// window, pumps output, and resumes reading/parsing. May close the
   /// connection.
   void ApplyCompletion(Worker& w, ResponseSlot* slot);
+  /// Completes `slot` with `response` unless it already completed; the
+  /// caller's hold becomes the server's. Returns whether this call
+  /// completed it. Any thread.
+  static bool CompleteSlot(ResponseSlot* slot, const HttpResponse& response);
+  /// Releases one writer copy's hold; the last copy either answers 500 (if
+  /// nobody completed) or deletes a slot the server already let go.
+  static void DropWriter(ResponseSlot* slot);
   /// Applies completions produced on this worker's own thread until none
   /// remain.
   void DrainInlineCompletions(Worker& w);
@@ -335,7 +356,8 @@ class HttpServer {
   void TryParse(Worker& w, Connection& c);
 
   ResponseSlot* AcquireSlot(Worker& w);
-  /// Returns a slot to the worker's free list with capacities intact.
+  /// Releases the server's hold on a slot: back to the worker's free list
+  /// with capacities intact, unless a stale writer copy still holds it.
   void RecycleSlot(Worker& w, ResponseSlot* slot);
 
   /// Queues the response already built in `slot` as the completion of

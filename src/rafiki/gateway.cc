@@ -1,8 +1,11 @@
 #include "rafiki/gateway.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 
 #include "common/string_util.h"
 #include "net/http.h"
@@ -43,49 +46,115 @@ GatewayResponse FromStatus(const Status& status) {
   return Error(code, status.ToString());
 }
 
-/// Parses the /query feature body ("v1,v2,...") into a [1, dim] tensor.
-Result<Tensor> ParseFeatureBody(const GatewayRequest& request) {
-  if (request.body.empty()) {
-    return Status::InvalidArgument(
-        "missing feature body (comma-separated floats)");
-  }
-  std::vector<float> values;
-  for (const std::string& field : Split(request.body, ',')) {
-    if (field.empty()) return Status::InvalidArgument("empty feature field");
-    char* end = nullptr;
-    float v = std::strtof(field.c_str(), &end);
-    if (end == field.c_str()) {
-      return Status::InvalidArgument(
-          StrFormat("bad feature '%s'", field.c_str()));
-    }
-    values.push_back(v);
-  }
-  // Size must be read before the move: argument evaluation order is
-  // unspecified and GCC moves the by-value parameter first.
-  auto num_features = static_cast<int64_t>(values.size());
-  return Tensor({1, num_features}, std::move(values));
-}
-
-GatewayResponse FormatPrediction(const Prediction& prediction) {
-  std::vector<std::string> votes;
-  votes.reserve(prediction.votes.size());
-  for (int64_t v : prediction.votes) votes.push_back(std::to_string(v));
-  return GatewayResponse{
-      200, StrFormat("label=%lld&votes=%s",
-                     static_cast<long long>(prediction.label),
-                     Join(votes, ",").c_str())};
+GatewayResponse AnswerResponse(const Result<Prediction>& answer) {
+  GatewayResponse response;
+  Gateway::FormatAnswer(answer, &response.status, &response.body);
+  return response;
 }
 
 /// Job id of a "/jobs/<id>/query" path ("" when malformed).
-std::string QueryRouteJobId(const std::string& path) {
+std::string_view QueryRouteJobId(std::string_view path) {
   return path.size() > 6 + 6 ? path.substr(6, path.size() - 6 - 6)
-                             : std::string();
+                             : std::string_view();
+}
+
+/// `text` itself when it holds nothing to decode, else its decoded copy
+/// kept in `request`.
+std::string_view Decoded(std::string_view text, bool plus_as_space,
+                         GatewayRequest* request) {
+  bool plain = text.find('%') == std::string_view::npos &&
+               (!plus_as_space || text.find('+') == std::string_view::npos);
+  if (plain) return text;
+  return request->Keep(net::PercentDecode(text, plus_as_space));
+}
+
+/// A copy of `request` whose views all point into its own storage, for
+/// work that outlives the caller's buffer.
+GatewayRequest OwnedCopy(const GatewayRequest& request) {
+  GatewayRequest out;
+  out.method = out.Keep(std::string(request.method));
+  out.path = out.Keep(std::string(request.path));
+  out.body = out.Keep(std::string(request.body));
+  for (const auto& [key, value] : request.params.pairs()) {
+    out.params.Add(out.Keep(std::string(key)), out.Keep(std::string(value)));
+  }
+  return out;
+}
+
+/// The feature row a query route parses into, one per event-loop thread:
+/// it keeps its capacity from query to query.
+std::vector<float>& FeatureRow() {
+  thread_local std::vector<float> row;
+  return row;
+}
+
+/// Integer parameter `key`, strictly parsed: the whole value must be
+/// consumed, so "trials=abc" or "epochs=3x" is an error instead of 0.
+/// Returns `fallback` when the key is absent and sets `*ok` false on a bad
+/// value.
+long long IntParam(const GatewayRequest& request, std::string_view key,
+                   long long fallback, bool* ok) {
+  const std::string_view* found = request.params.Find(key);
+  if (found == nullptr) return fallback;
+  std::string value(*found);
+  errno = 0;
+  char* end = nullptr;
+  long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      errno == ERANGE) {
+    *ok = false;
+    return fallback;
+  }
+  return parsed;
 }
 
 }  // namespace
 
 std::string GatewayResponse::ToString() const {
   return StrFormat("%d %s", status, body.c_str());
+}
+
+const std::string_view* GatewayParams::Find(std::string_view key) const {
+  for (auto it = pairs_.rbegin(); it != pairs_.rend(); ++it) {
+    if (it->first == key) return &it->second;
+  }
+  return nullptr;
+}
+
+std::string_view GatewayParams::at(std::string_view key) const {
+  const std::string_view* value = Find(key);
+  if (value == nullptr) {
+    throw std::out_of_range("no parameter '" + std::string(key) + "'");
+  }
+  return *value;
+}
+
+std::string_view GatewayRequest::Keep(std::string text) {
+  if (storage == nullptr) storage = std::make_shared<std::list<std::string>>();
+  return storage->emplace_back(std::move(text));
+}
+
+Status ParseParams(std::string_view query, GatewayRequest* request) {
+  size_t start = 0;
+  for (;;) {
+    size_t amp = query.find('&', start);
+    std::string_view pair = query.substr(
+        start, amp == std::string_view::npos ? amp : amp - start);
+    if (!pair.empty()) {
+      size_t eq = pair.find('=');
+      if (eq == std::string_view::npos) {
+        return Status::InvalidArgument(StrFormat(
+            "malformed parameter '%s'", std::string(pair).c_str()));
+      }
+      // Real HTTP front-ends send percent-encoded query strings; decode so
+      // "name=caf%C3%A9&note=a+b" means what the client wrote.
+      std::string_view key = Decoded(pair.substr(0, eq), false, request);
+      request->params.Add(
+          key, Decoded(pair.substr(eq + 1), /*plus_as_space=*/true, request));
+    }
+    if (amp == std::string_view::npos) return Status::OK();
+    start = amp + 1;
+  }
 }
 
 Gateway::Gateway(Rafiki* rafiki) : rafiki_(rafiki) {
@@ -104,16 +173,22 @@ Gateway::~Gateway() {
 
 Result<GatewayRequest> Gateway::Parse(const std::string& raw_request) {
   // "METHOD /path[?|space]params\n body..."
-  size_t newline = raw_request.find('\n');
-  std::string head = raw_request.substr(0, newline);
+  GatewayRequest out;
+  std::string_view raw = out.Keep(raw_request);
+  size_t newline = raw.find('\n');
+  std::string_view head = raw.substr(0, newline);
   // Tolerate CRLF request lines (any real socket front-end sends them);
   // without this the path/params would carry an embedded '\r'.
-  if (!head.empty() && head.back() == '\r') head.pop_back();
-  GatewayRequest out;
-  if (newline != std::string::npos) {
-    out.body = raw_request.substr(newline + 1);
+  if (!head.empty() && head.back() == '\r') head.remove_suffix(1);
+  if (newline != std::string_view::npos) out.body = raw.substr(newline + 1);
+  std::vector<std::string_view> parts;
+  for (size_t start = 0;;) {
+    size_t space = head.find(' ', start);
+    parts.push_back(head.substr(
+        start, space == std::string_view::npos ? space : space - start));
+    if (space == std::string_view::npos) break;
+    start = space + 1;
   }
-  std::vector<std::string> parts = Split(head, ' ');
   if (parts.size() < 2 || parts[0].empty() || parts[1].empty()) {
     return Status::InvalidArgument("request must be 'METHOD /path [params]'");
   }
@@ -122,29 +197,70 @@ Result<GatewayRequest> Gateway::Parse(const std::string& raw_request) {
   if (out.path[0] != '/') {
     return Status::InvalidArgument("path must start with '/'");
   }
-  std::string params;
+  std::string_view params;
   size_t qmark = out.path.find('?');
-  if (qmark != std::string::npos) {
+  if (qmark != std::string_view::npos) {
     params = out.path.substr(qmark + 1);
     out.path = out.path.substr(0, qmark);
   } else if (parts.size() >= 3) {
     params = parts[2];
   }
-  if (!params.empty()) {
-    for (const std::string& pair : Split(params, '&')) {
-      if (pair.empty()) continue;
-      size_t eq = pair.find('=');
-      if (eq == std::string::npos) {
-        return Status::InvalidArgument(
-            StrFormat("malformed parameter '%s'", pair.c_str()));
-      }
-      // Real HTTP front-ends send percent-encoded query strings; decode so
-      // "name=caf%C3%A9&note=a+b" means what the client wrote.
-      out.params[net::PercentDecode(pair.substr(0, eq))] =
-          net::PercentDecode(pair.substr(eq + 1), /*plus_as_space=*/true);
-    }
-  }
+  RAFIKI_RETURN_IF_ERROR(ParseParams(params, &out));
   return out;
+}
+
+Status Gateway::ParseFeatures(std::string_view body, std::vector<float>* out) {
+  out->clear();
+  if (body.empty()) {
+    return Status::InvalidArgument(
+        "missing feature body (comma-separated floats)");
+  }
+  for (size_t start = 0;;) {
+    size_t comma = body.find(',', start);
+    std::string_view field = body.substr(
+        start, comma == std::string_view::npos ? comma : comma - start);
+    if (field.empty()) return Status::InvalidArgument("empty feature field");
+    float v = 0.0f;
+    const char* end = field.data() + field.size();
+    auto [ptr, ec] = std::from_chars(field.data(), end, v);
+    if (ec != std::errc() || ptr != end || std::isnan(v)) {
+      // Whatever from_chars does not read whole (a leading '+' or space,
+      // hex floats, out-of-range values, trailing text) or reads as NaN
+      // (whose payload it may drop) is strtof's to decide.
+      std::string copy(field);
+      char* stop = nullptr;
+      v = std::strtof(copy.c_str(), &stop);
+      if (stop == copy.c_str()) {
+        return Status::InvalidArgument(
+            StrFormat("bad feature '%s'", copy.c_str()));
+      }
+    }
+    out->push_back(v);
+    if (comma == std::string_view::npos) return Status::OK();
+    start = comma + 1;
+  }
+}
+
+void Gateway::FormatAnswer(const Result<Prediction>& answer, int* status,
+                           std::string* body) {
+  if (!answer.ok()) {
+    GatewayResponse error = FromStatus(answer.status());
+    *status = error.status;
+    body->assign(error.body);
+    return;
+  }
+  char digits[24];
+  auto append = [&](int64_t v) {
+    body->append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
+  };
+  *status = 200;
+  body->assign("label=");
+  append(answer->label);
+  body->append("&votes=");
+  for (size_t i = 0; i < answer->votes.size(); ++i) {
+    if (i > 0) body->push_back(',');
+    append(answer->votes[i]);
+  }
 }
 
 GatewayResponse Gateway::Handle(const std::string& raw_request) {
@@ -169,12 +285,12 @@ GatewayResponse Gateway::Handle(const std::string& raw_request) {
 }
 
 GatewayResponse Gateway::Dispatch(const GatewayRequest& request) {
-  const std::string& path = request.path;
+  const std::string_view path = request.path;
   // POST-only action routes.
   if (path == "/train" || path == "/deploy" || path == "/query" ||
       path == "/undeploy") {
     if (request.method != "POST") {
-      return Error(405, StrFormat("use POST %s", path.c_str()));
+      return Error(405, StrFormat("use POST %s", std::string(path).c_str()));
     }
     if (path == "/train") return Train(request);
     if (path == "/deploy") return Deploy(request);
@@ -189,84 +305,95 @@ GatewayResponse Gateway::Dispatch(const GatewayRequest& request) {
   }
   // Job-scoped routes: POST /jobs/<id>/query (the data plane), GET for
   // status/metrics.
-  if (StartsWith(path, "/jobs/")) {
-    if (EndsWith(path, "/query")) {
+  if (path.starts_with("/jobs/")) {
+    if (path.ends_with("/query")) {
       if (request.method != "POST") {
-        return Error(405, StrFormat("use POST %s", path.c_str()));
+        return Error(405, StrFormat("use POST %s", std::string(path).c_str()));
       }
-      std::string job_id = QueryRouteJobId(path);
+      std::string_view job_id = QueryRouteJobId(path);
       if (job_id.empty()) return Error(400, "missing job id in path");
       return QueryJob(job_id, request);
     }
     if (request.method != "GET") {
-      return Error(405, StrFormat("use GET %s", path.c_str()));
+      return Error(405, StrFormat("use GET %s", std::string(path).c_str()));
     }
-    if (EndsWith(path, "/metrics")) {
-      std::string job_id = path.substr(6, path.size() - 6 - 8);
+    if (path.ends_with("/metrics")) {
+      std::string job_id(path.substr(6, path.size() - 6 - 8));
       if (!job_id.empty()) return InferMetrics(job_id);
     }
-    return JobStatus(path.substr(6));
+    return JobStatus(std::string(path.substr(6)));
   }
-  return Error(404, StrFormat("no route %s %s", request.method.c_str(),
-                              path.c_str()));
+  return Error(404, StrFormat("no route %s %s",
+                              std::string(request.method).c_str(),
+                              std::string(path).c_str()));
 }
 
 void Gateway::DispatchAsync(const GatewayRequest& request,
                             AsyncCompletion done) {
   RAFIKI_CHECK(done != nullptr);
-  const std::string& path = request.path;
+  QueryCompletion answered = [done](const Result<Prediction>& answer) {
+    done(AnswerResponse(answer));
+  };
+  DispatchAsync(request, std::move(done), std::move(answered));
+}
+
+void Gateway::DispatchAsync(const GatewayRequest& request,
+                            AsyncCompletion done, QueryCompletion answered) {
+  RAFIKI_CHECK(done != nullptr);
+  RAFIKI_CHECK(answered != nullptr);
+  const std::string_view path = request.path;
   if (request.method != "POST") {
     done(Dispatch(request));
     return;
   }
+  std::string_view job_id;
   if (path == "/query") {
-    auto it = request.params.find("job");
-    if (it == request.params.end()) {
+    const std::string_view* job = request.params.Find("job");
+    if (job == nullptr) {
       done(Error(400, "missing job parameter"));
       return;
     }
-    QueryAsync(it->second, request, std::move(done));
-    return;
-  }
-  if (StartsWith(path, "/jobs/") && EndsWith(path, "/query")) {
-    std::string job_id = QueryRouteJobId(path);
+    job_id = *job;
+  } else if (path.starts_with("/jobs/") && path.ends_with("/query")) {
+    job_id = QueryRouteJobId(path);
     if (job_id.empty()) {
       done(Error(400, "missing job id in path"));
       return;
     }
-    QueryAsync(job_id, request, std::move(done));
+  } else {
+    control_.Push([this, request = OwnedCopy(request),
+                   done = std::move(done)] { done(Dispatch(request)); });
     return;
   }
-  control_.Push([this, request, done = std::move(done)] {
-    done(Dispatch(request));
-  });
+  // The query itself: parse the row on this thread and hand `answered`
+  // to the runtime, which copies the row before SubmitAsync returns.
+  std::vector<float>& row = FeatureRow();
+  Status parsed = ParseFeatures(request.body, &row);
+  if (!parsed.ok()) {
+    done(Error(400, parsed.message()));
+    return;
+  }
+  Status submitted = rafiki_->QueryAsync(job_id, row, std::move(answered));
+  // A rejected submission never runs the continuation: answer inline
+  // (404 unknown job, 503 queue full, 400 bad dimension).
+  if (!submitted.ok()) done(FromStatus(submitted));
 }
 
 GatewayResponse Gateway::Train(const GatewayRequest& request) {
-  auto it = request.params.find("dataset");
-  if (it == request.params.end()) {
+  const std::string_view* dataset = request.params.Find("dataset");
+  if (dataset == nullptr) {
     return Error(400, "missing dataset parameter");
   }
   TrainConfig config;
-  config.dataset = it->second;
-  // Strict integer parsing: the whole value must be consumed, so
-  // "trials=abc" or "epochs=3x" is a 400 instead of silently becoming 0.
+  config.dataset = std::string(*dataset);
   Status parse_error = Status::OK();
   auto get_int = [&](const char* key, int64_t fallback) -> int64_t {
-    auto p = request.params.find(key);
-    if (p == request.params.end()) return fallback;
-    const std::string& value = p->second;
-    errno = 0;
-    char* end = nullptr;
-    long long parsed = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() ||
-        errno == ERANGE) {
-      if (parse_error.ok()) {
-        parse_error = Status::InvalidArgument(StrFormat(
-            "parameter '%s' must be an integer, got '%s'", key,
-            value.c_str()));
-      }
-      return fallback;
+    bool ok = true;
+    long long parsed = IntParam(request, key, fallback, &ok);
+    if (!ok && parse_error.ok()) {
+      parse_error = Status::InvalidArgument(StrFormat(
+          "parameter '%s' must be an integer, got '%s'", key,
+          std::string(request.params.at(key)).c_str()));
     }
     return parsed;
   };
@@ -277,13 +404,12 @@ GatewayResponse Gateway::Train(const GatewayRequest& request) {
   config.hyper.collaborative = get_int("collaborative", 0) != 0;
   config.seed = static_cast<uint64_t>(get_int("seed", 1));
   if (!parse_error.ok()) return FromStatus(parse_error);
-  auto adv = request.params.find("advisor");
-  if (adv != request.params.end()) {
-    if (adv->second == "grid") {
+  if (const std::string_view* adv = request.params.Find("advisor")) {
+    if (*adv == "grid") {
       config.advisor = AdvisorKind::kGridSearch;
-    } else if (adv->second == "bayes") {
+    } else if (*adv == "bayes") {
       config.advisor = AdvisorKind::kBayesOpt;
-    } else if (adv->second == "random") {
+    } else if (*adv == "random") {
       config.advisor = AdvisorKind::kRandomSearch;
     } else {
       return Error(400, "advisor must be random|grid|bayes");
@@ -310,16 +436,15 @@ GatewayResponse Gateway::JobStatus(const std::string& job_id) {
 }
 
 GatewayResponse Gateway::Deploy(const GatewayRequest& request) {
-  auto it = request.params.find("job");
-  if (it == request.params.end()) return Error(400, "missing job parameter");
+  const std::string_view* job = request.params.Find("job");
+  if (job == nullptr) return Error(400, "missing job parameter");
   // Per-job scheduling-policy selection; validated before the model lookup
   // so a bad policy is a 400 even for unknown jobs.
   serving::RuntimeOptions options;
-  auto policy = request.params.find("policy");
-  if (policy != request.params.end()) {
-    if (policy->second == "rl") {
+  if (const std::string_view* policy = request.params.Find("policy")) {
+    if (*policy == "rl") {
       options.policy_factory = serving::MakeRlSchedulerFactory();
-    } else if (policy->second != "greedy") {
+    } else if (*policy != "greedy") {
       return Error(400, "policy must be greedy|rl");
     }
   }
@@ -327,24 +452,9 @@ GatewayResponse Gateway::Deploy(const GatewayRequest& request) {
   // replicas. Static by default (all N start immediately); `autoscale=1`
   // instead starts at one replica and lets the ReplicaController grow and
   // shrink the set within [1, N] from queue pressure.
-  auto get_int = [&](const char* key, long long fallback,
-                     bool* ok) -> long long {
-    auto p = request.params.find(key);
-    if (p == request.params.end()) return fallback;
-    const std::string& value = p->second;
-    errno = 0;
-    char* end = nullptr;
-    long long parsed = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() ||
-        errno == ERANGE) {
-      *ok = false;
-      return fallback;
-    }
-    return parsed;
-  };
   bool params_ok = true;
-  long long replicas = get_int("replicas", 1, &params_ok);
-  long long autoscale = get_int("autoscale", 0, &params_ok);
+  long long replicas = IntParam(request, "replicas", 1, &params_ok);
+  long long autoscale = IntParam(request, "autoscale", 0, &params_ok);
   if (!params_ok || replicas < 1 || replicas > 64) {
     return Error(400, "replicas must be an integer in [1, 64]");
   }
@@ -356,7 +466,8 @@ GatewayResponse Gateway::Deploy(const GatewayRequest& request) {
   } else {
     options.replicas = static_cast<int>(replicas);
   }
-  Result<std::vector<ModelHandle>> models = rafiki_->GetModels(it->second);
+  Result<std::vector<ModelHandle>> models =
+      rafiki_->GetModels(std::string(*job));
   if (!models.ok()) return FromStatus(models.status());
   Result<std::string> deployed = rafiki_->Deploy(*models, options);
   if (!deployed.ok()) return FromStatus(deployed.status());
@@ -364,39 +475,18 @@ GatewayResponse Gateway::Deploy(const GatewayRequest& request) {
 }
 
 GatewayResponse Gateway::Query(const GatewayRequest& request) {
-  auto it = request.params.find("job");
-  if (it == request.params.end()) return Error(400, "missing job parameter");
-  return QueryJob(it->second, request);
+  const std::string_view* job = request.params.Find("job");
+  if (job == nullptr) return Error(400, "missing job parameter");
+  return QueryJob(*job, request);
 }
 
-GatewayResponse Gateway::QueryJob(const std::string& job_id,
+GatewayResponse Gateway::QueryJob(std::string_view job_id,
                                   const GatewayRequest& request) {
-  Result<Tensor> features = ParseFeatureBody(request);
-  if (!features.ok()) return Error(400, features.status().message());
-  Result<Prediction> prediction = rafiki_->Query(job_id, *features);
-  if (!prediction.ok()) return FromStatus(prediction.status());
-  return FormatPrediction(*prediction);
-}
-
-void Gateway::QueryAsync(const std::string& job_id,
-                         const GatewayRequest& request,
-                         AsyncCompletion done) {
-  Result<Tensor> features = ParseFeatureBody(request);
-  if (!features.ok()) {
-    done(Error(400, features.status().message()));
-    return;
-  }
-  Status submitted = rafiki_->QueryAsync(
-      job_id, std::move(*features), [done](Result<Prediction> prediction) {
-        if (!prediction.ok()) {
-          done(FromStatus(prediction.status()));
-          return;
-        }
-        done(FormatPrediction(*prediction));
-      });
-  // A rejected submission never runs the continuation: answer inline
-  // (404 unknown job, 503 queue full, 400 bad dimension).
-  if (!submitted.ok()) done(FromStatus(submitted));
+  std::vector<float> row;
+  Status parsed = ParseFeatures(request.body, &row);
+  if (!parsed.ok()) return Error(400, parsed.message());
+  auto dim = static_cast<int64_t>(row.size());
+  return AnswerResponse(rafiki_->Query(job_id, Tensor({1, dim}, std::move(row))));
 }
 
 GatewayResponse Gateway::InferMetrics(const std::string& job_id) {
@@ -476,9 +566,9 @@ GatewayResponse Gateway::ClusterMetricsRoute() {
 }
 
 GatewayResponse Gateway::Undeploy(const GatewayRequest& request) {
-  auto it = request.params.find("job");
-  if (it == request.params.end()) return Error(400, "missing job parameter");
-  Status status = rafiki_->Undeploy(it->second);
+  const std::string_view* job = request.params.Find("job");
+  if (job == nullptr) return Error(400, "missing job parameter");
+  Status status = rafiki_->Undeploy(std::string(*job));
   if (!status.ok()) return FromStatus(status);
   return GatewayResponse{200, "ok"};
 }

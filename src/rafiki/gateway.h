@@ -2,22 +2,63 @@
 #define RAFIKI_RAFIKI_GATEWAY_H_
 
 #include <functional>
-#include <map>
+#include <list>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/blocking_queue.h"
 #include "rafiki/rafiki.h"
 
 namespace rafiki::api {
 
-/// A parsed gateway request: "METHOD /path key=value&key=value\nBODY".
-struct GatewayRequest {
-  std::string method;  // GET / POST
-  std::string path;    // e.g. /train, /jobs/job0, /query
-  std::map<std::string, std::string> params;
-  std::string body;    // e.g. comma-separated feature floats for /query
+/// Request parameters in request order, keys and values percent-decoded. A
+/// key given twice reads as its last value.
+class GatewayParams {
+ public:
+  /// The value of `key`, or nullptr when absent.
+  const std::string_view* Find(std::string_view key) const;
+  /// The value of `key`; throws std::out_of_range when absent.
+  std::string_view at(std::string_view key) const;
+  void Add(std::string_view key, std::string_view value) {
+    pairs_.emplace_back(key, value);
+  }
+  const std::vector<std::pair<std::string_view, std::string_view>>& pairs()
+      const {
+    return pairs_;
+  }
+
+ private:
+  std::vector<std::pair<std::string_view, std::string_view>> pairs_;
 };
+
+/// A parsed gateway request: "METHOD /path key=value&key=value\nBODY".
+/// Every field is a view, into the caller's buffer (FromHttp views the
+/// HTTP request it was given, which must outlive this request) or into
+/// `storage`.
+struct GatewayRequest {
+  std::string_view method;  // GET / POST
+  std::string_view path;    // e.g. /train, /jobs/job0, /query
+  GatewayParams params;
+  std::string_view body;    // e.g. comma-separated feature floats for /query
+  /// Text the views may point into besides the caller's buffer: Parse()'s
+  /// copy of the raw request and percent-decoded text. Shared and made of
+  /// list nodes, so moving or copying the request moves no byte a view
+  /// points at (a short std::string moved with its owner would).
+  std::shared_ptr<std::list<std::string>> storage;
+
+  /// Keeps `text` in `storage` and returns a view of the kept copy.
+  std::string_view Keep(std::string text);
+};
+
+/// Adds the parameters of a query string ("k=v&k2=v2") to `request`,
+/// percent-decoded ('+' in a value decodes to space). Text with nothing to
+/// decode is viewed where it lies. InvalidArgument on a parameter without
+/// '='.
+Status ParseParams(std::string_view query, GatewayRequest* request);
 
 /// A gateway response: status code + compact key=value payload.
 struct GatewayResponse {
@@ -88,6 +129,9 @@ class Gateway {
   /// dispatcher thread, and control POSTs on the gateway's control thread.
   /// It must be cheap and thread-safe.
   using AsyncCompletion = std::function<void(GatewayResponse)>;
+  /// A query route's continuation: the runtime's own callback, run once on
+  /// the dispatcher thread with the answer (FormatAnswer renders it).
+  using QueryCompletion = serving::InferenceRuntime::Callback;
 
   /// Never blocks the caller, which behind HTTP is an event loop:
   ///   * query routes (POST /query, POST /jobs/<id>/query) go through the
@@ -101,10 +145,31 @@ class Gateway {
   ///     via Dispatch before DispatchAsync returns.
   void DispatchAsync(const GatewayRequest& request, AsyncCompletion done);
 
+  /// The same routing for a caller that renders query answers itself: a
+  /// query route hands `answered` straight to the runtime, so nothing
+  /// wraps it, and every other route, and a query refused before it was
+  /// queued, completes `done`. Exactly one of the two runs, once.
+  void DispatchAsync(const GatewayRequest& request, AsyncCompletion done,
+                     QueryCompletion answered);
+
+  /// A query route's response: "label=K&votes=a,b" with status 200, or the
+  /// error status and "error=..." body the failure maps to. Replaces
+  /// `*body`, keeping its capacity; the numbers go through std::to_chars.
+  static void FormatAnswer(const Result<Prediction>& answer, int* status,
+                           std::string* body);
+
   /// Request parser (exposed for tests). Parameter keys and values are
   /// percent-decoded ('+' in a value decodes to space), so real HTTP query
   /// strings round-trip through the text protocol unchanged.
   static Result<GatewayRequest> Parse(const std::string& raw_request);
+
+  /// The /query feature parser (exposed for tests): "v1,v2,..." into
+  /// `*out`, replacing its contents and keeping its capacity. Each field is
+  /// read with std::from_chars; a field it does not consume whole, or reads
+  /// as NaN, is read by std::strtof instead, so every body gets strtof's
+  /// accept/reject decision and bit-identical values. Empty fields and
+  /// fields strtof reads nothing from are rejected.
+  static Status ParseFeatures(std::string_view body, std::vector<float>* out);
 
  private:
   GatewayResponse Train(const GatewayRequest& request);
@@ -113,10 +178,8 @@ class Gateway {
   GatewayResponse ClusterMetricsRoute();
   GatewayResponse Deploy(const GatewayRequest& request);
   GatewayResponse Query(const GatewayRequest& request);
-  GatewayResponse QueryJob(const std::string& job_id,
+  GatewayResponse QueryJob(std::string_view job_id,
                            const GatewayRequest& request);
-  void QueryAsync(const std::string& job_id, const GatewayRequest& request,
-                  AsyncCompletion done);
   GatewayResponse Undeploy(const GatewayRequest& request);
 
   Rafiki* rafiki_;

@@ -7,22 +7,14 @@ namespace rafiki::api {
 Result<GatewayRequest> FromHttp(const net::HttpRequest& http) {
   GatewayRequest out;
   out.method = http.method;
-  out.path = net::PercentDecode(http.path);
+  out.path = http.path;
+  if (out.path.find('%') != std::string_view::npos) {
+    out.path = out.Keep(net::PercentDecode(out.path));
+  }
   if (out.path.empty() || out.path[0] != '/') {
     return Status::InvalidArgument("path must start with '/'");
   }
-  if (!http.query.empty()) {
-    for (const std::string& pair : Split(http.query, '&')) {
-      if (pair.empty()) continue;
-      size_t eq = pair.find('=');
-      if (eq == std::string::npos) {
-        return Status::InvalidArgument(
-            StrFormat("malformed parameter '%s'", pair.c_str()));
-      }
-      out.params[net::PercentDecode(pair.substr(0, eq))] =
-          net::PercentDecode(pair.substr(eq + 1), /*plus_as_space=*/true);
-    }
-  }
+  RAFIKI_RETURN_IF_ERROR(ParseParams(http.query, &out));
   out.body = http.body;
   return out;
 }
@@ -36,16 +28,13 @@ net::HttpResponse ToHttp(const GatewayResponse& response) {
 
 namespace {
 
+using net::HttpServer;
+
 /// Extends a successful metrics-route body with the front door's own
-/// gauges (admitted vs parked responses), keyed off the decoded request
-/// path so only `GET /jobs/<id>/metrics` pays it.
-void MaybeAppendServerGauges(const std::string& path,
-                             const ServerStatsFn& server_stats,
-                             GatewayResponse* response) {
-  if (!server_stats || response->status != 200 ||
-      !EndsWith(path, "/metrics")) {
-    return;
-  }
+/// gauges (admitted vs parked responses).
+void AppendServerGauges(const ServerStatsFn& server_stats,
+                        GatewayResponse* response) {
+  if (response->status != 200) return;
   net::HttpServerStats stats = server_stats();
   response->body += StrFormat(
       "&inflight=%llu&inflight_peak=%llu&async_pending=%llu",
@@ -54,33 +43,58 @@ void MaybeAppendServerGauges(const std::string& path,
       static_cast<unsigned long long>(stats.async_pending));
 }
 
+/// Builds the reply in the request's pooled slot: completing with the
+/// writer's own response() skips the copy into the slot.
+void CompleteWith(HttpServer::ResponseWriter writer,
+                  const GatewayResponse& response) {
+  net::HttpResponse& out = writer.response();
+  out.status = response.status;
+  out.body.assign(response.body);
+  out.body.push_back('\n');
+  writer.Complete(out);
+}
+
 }  // namespace
 
-net::HttpServer::AsyncHandler MakeGatewayAsyncHttpHandler(
+HttpServer::AsyncHandler MakeGatewayAsyncHttpHandler(
     Gateway* gateway, ServerStatsFn server_stats) {
   return [gateway, server_stats](const net::HttpRequest& http,
-                                 net::HttpServer::ResponseWriter writer) {
+                                 HttpServer::ResponseWriter writer) {
     Result<GatewayRequest> request = FromHttp(http);
     if (!request.ok()) {
       writer.Complete(ToHttp(
           GatewayResponse{400, "error=" + request.status().ToString()}));
       return;
     }
-    // The writer rides the continuation: GET routes complete it before
-    // DispatchAsync returns, query routes from the inference dispatcher
-    // thread at batch completion, control POSTs from the control thread.
-    std::string path = request->path;
+    if (server_stats && request->path.ends_with("/metrics")) {
+      // Only the metrics route carries the gauge source.
+      gateway->DispatchAsync(
+          *request,
+          [writer, server_stats](GatewayResponse response) mutable {
+            AppendServerGauges(server_stats, &response);
+            CompleteWith(std::move(writer), response);
+          });
+      return;
+    }
+    // The writer rides the continuation as one raw handle, so either
+    // continuation is a single pointer inside std::function's inline
+    // buffer: GET routes complete it before DispatchAsync returns, query
+    // routes on the inference dispatcher thread, control POSTs on the
+    // control thread. The gateway runs exactly one of the two.
+    HttpServer::ResponseSlot* handle = std::move(writer).Release();
     gateway->DispatchAsync(
-        *request, [writer, server_stats, path](GatewayResponse response) {
-          MaybeAppendServerGauges(path, server_stats, &response);
-          net::HttpServer::ResponseWriter w = writer;
-          // Build the reply in the request's pooled slot: completing with
-          // the writer's own response() skips the copy into the slot.
-          net::HttpResponse& out = w.response();
-          out.status = response.status;
-          out.body.assign(response.body);
+        *request,
+        [handle](GatewayResponse response) {
+          CompleteWith(HttpServer::ResponseWriter::Adopt(handle), response);
+        },
+        [handle](const Result<Prediction>& answer) {
+          // Format the answer straight into the slot's response body.
+          HttpServer::ResponseWriter writer =
+              HttpServer::ResponseWriter::Adopt(handle);
+          net::HttpResponse& out = writer.response();
+          Gateway::FormatAnswer(answer, &out.status, &out.body);
           out.body.push_back('\n');
-          w.Complete(out);
+          writer.Complete(out);
         });
   };
 }

@@ -16,9 +16,10 @@ namespace rafiki::api {
 /// callable from any event-loop thread.
 using ServerStatsFn = std::function<net::HttpServerStats()>;
 
-/// Maps one parsed HTTP request onto the gateway's request form:
-/// percent-decoded path, query parameters decoded key/value ('+' in values
-/// becomes space), body passed through verbatim.
+/// Maps one parsed HTTP request onto the gateway's request form, which
+/// views `http` (it must outlive the result): percent-decoded path, query
+/// parameters decoded key/value ('+' in values becomes space), body passed
+/// through verbatim. Only text that needs decoding is copied.
 Result<GatewayRequest> FromHttp(const net::HttpRequest& http);
 
 /// Maps a gateway response onto HTTP (status + key=value text body).
@@ -26,11 +27,12 @@ net::HttpResponse ToHttp(const GatewayResponse& response);
 
 /// The net::HttpServer handler that serves `gateway` — the glue between the
 /// epoll front door and the routing layer. It never blocks its event loop:
-/// the ResponseWriter rides Gateway::DispatchAsync's continuation, so query
-/// routes complete from the inference dispatcher and control POSTs from
-/// the gateway's control thread; GET routes complete inline. In-flight
-/// queries are bounded by the server's max_inflight. `gateway` must
-/// outlive the server.
+/// the ResponseWriter rides Gateway::DispatchAsync's continuations, so
+/// query routes complete from the inference dispatcher, which formats the
+/// answer into the request's pooled slot, and control POSTs from the
+/// gateway's control thread; GET routes complete inline. A query allocates
+/// nothing on its way through. In-flight queries are bounded by the
+/// server's max_inflight. `gateway` must outlive the server.
 net::HttpServer::AsyncHandler MakeGatewayAsyncHttpHandler(
     Gateway* gateway, ServerStatsFn server_stats = nullptr);
 

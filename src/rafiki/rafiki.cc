@@ -244,40 +244,24 @@ Result<std::string> Rafiki::Deploy(const std::vector<ModelHandle>& models,
 }
 
 Result<std::vector<Prediction>> Rafiki::QueryBatch(
-    const std::string& inference_job_id, const Tensor& features) {
-  RAFIKI_ASSIGN_OR_RETURN(std::vector<serving::EnsemblePrediction> answers,
-                          runtime_.QueryBatch(inference_job_id, features));
-  std::vector<Prediction> out;
-  out.reserve(answers.size());
-  for (serving::EnsemblePrediction& a : answers) {
-    out.push_back(Prediction{a.label, std::move(a.votes)});
-  }
-  return out;
+    std::string_view inference_job_id, const Tensor& features) {
+  return runtime_.QueryBatch(inference_job_id, features);
 }
 
-Result<Prediction> Rafiki::Query(const std::string& inference_job_id,
+Result<Prediction> Rafiki::Query(std::string_view inference_job_id,
                                  const Tensor& features) {
   RAFIKI_ASSIGN_OR_RETURN(auto future,
                           runtime_.Submit(inference_job_id, features));
-  RAFIKI_ASSIGN_OR_RETURN(serving::EnsemblePrediction answer, future.get());
-  return Prediction{answer.label, std::move(answer.votes)};
+  return future.get();
 }
 
-Status Rafiki::QueryAsync(const std::string& inference_job_id,
-                          Tensor features,
-                          std::function<void(Result<Prediction>)> done) {
+Status Rafiki::QueryAsync(std::string_view inference_job_id,
+                          std::span<const float> features,
+                          serving::InferenceRuntime::Callback done) {
   if (done == nullptr) {
     return Status::InvalidArgument("QueryAsync requires a callback");
   }
-  return runtime_.SubmitAsync(
-      inference_job_id, std::move(features),
-      [done = std::move(done)](Result<serving::EnsemblePrediction> answer) {
-        if (!answer.ok()) {
-          done(answer.status());
-          return;
-        }
-        done(Prediction{answer->label, std::move(answer->votes)});
-      });
+  return runtime_.SubmitAsync(inference_job_id, features, std::move(done));
 }
 
 Status Rafiki::Undeploy(const std::string& inference_job_id) {

@@ -5,7 +5,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/message_bus.h"
@@ -70,12 +72,9 @@ struct ClusterMetrics {
   cluster::BusStats bus;
 };
 
-/// One inference answer.
-struct Prediction {
-  int64_t label = -1;
-  /// Labels voted by each deployed model (ensemble transparency).
-  std::vector<int64_t> votes;
-};
+/// One inference answer: the majority label and each voting model's label
+/// (ensemble transparency). The runtime's answer, passed through as is.
+using Prediction = serving::EnsemblePrediction;
 
 /// The Rafiki service facade (Figure 2): dataset import into distributed
 /// storage, training jobs with distributed hyper-parameter tuning, instant
@@ -132,21 +131,23 @@ class Rafiki {
   /// job's bounded queue, batched by the greedy policy (Algorithm 3)
   /// against the latency SLO, and answered with the ensemble majority vote
   /// and the paper's best-accuracy tie-break.
-  Result<Prediction> Query(const std::string& inference_job_id,
+  Result<Prediction> Query(std::string_view inference_job_id,
                            const Tensor& features);
 
   /// Continuation-based variant of Query: `done` runs on the job's
   /// dispatcher thread when the batch containing the request completes
-  /// (or when it expires / the job is undeployed). A non-OK return means
-  /// the request was not enqueued and `done` will never run. `done` must
-  /// not call Undeploy or destroy this Rafiki.
-  Status QueryAsync(const std::string& inference_job_id, Tensor features,
-                    std::function<void(Result<Prediction>)> done);
+  /// (or when it expires / the job is undeployed), with an answer that is
+  /// only valid during the call. A non-OK return means the request was not
+  /// enqueued and `done` will never run. `done` must not call Undeploy or
+  /// destroy this Rafiki. The row is copied before the call returns.
+  Status QueryAsync(std::string_view inference_job_id,
+                    std::span<const float> features,
+                    serving::InferenceRuntime::Callback done);
 
   /// Batch variant: rows go through the same batched runtime path, and a
   /// full queue fails the call Unavailable, as QueryAsync does.
   Result<std::vector<Prediction>> QueryBatch(
-      const std::string& inference_job_id, const Tensor& features);
+      std::string_view inference_job_id, const Tensor& features);
 
   /// Tears down a deployed inference job; in-flight queued requests fail
   /// with kUnavailable.

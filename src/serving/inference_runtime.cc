@@ -87,6 +87,50 @@ std::vector<uint32_t> BuildVariantMasks(
 /// Algorithm 3's flush deadline re-decides at a bounded rate.
 constexpr double kMinFlushWait = 100e-6;
 
+/// Row `row` of MajorityVoteRows over the first `models` entries of
+/// `votes` and `accuracies`, written into `out`, whose votes vector keeps
+/// its capacity. It counts labels by comparing them, which allocates
+/// nothing and is cheap for the at most 31 models of an ensemble.
+void MajorityVoteRow(const std::vector<std::vector<int64_t>>& votes,
+                     const std::vector<double>& accuracies, size_t models,
+                     size_t row, EnsemblePrediction* out) {
+  RAFIKI_CHECK_GT(models, 0u);
+  RAFIKI_CHECK_LE(models, votes.size());
+  RAFIKI_CHECK_LE(models, accuracies.size());
+  out->votes.clear();
+  for (size_t m = 0; m < models; ++m) out->votes.push_back(votes[m][row]);
+  // A label's count is the number of models that voted it. Among the
+  // models whose label has the top count, the most accurate one decides.
+  const std::vector<int64_t>& labels = out->votes;
+  auto count_of = [&](int64_t label) {
+    return static_cast<int>(std::count(labels.begin(), labels.end(), label));
+  };
+  int best_votes = 0;
+  for (int64_t label : labels) best_votes = std::max(best_votes, count_of(label));
+  out->label = -1;
+  double best_acc = -1.0;
+  for (size_t m = 0; m < models; ++m) {
+    if (count_of(labels[m]) == best_votes && accuracies[m] > best_acc) {
+      best_acc = accuracies[m];
+      out->label = labels[m];
+    }
+  }
+}
+
+/// Submits one row whose answer a future delivers.
+Result<std::future<Result<EnsemblePrediction>>> SubmitForFuture(
+    InferenceRuntime& runtime, std::string_view job_id,
+    std::span<const float> row) {
+  auto promise =
+      std::make_shared<std::promise<Result<EnsemblePrediction>>>();
+  std::future<Result<EnsemblePrediction>> future = promise->get_future();
+  RAFIKI_RETURN_IF_ERROR(runtime.SubmitAsync(
+      job_id, row, [promise](const Result<EnsemblePrediction>& answer) {
+        promise->set_value(answer);
+      }));
+  return future;
+}
+
 }  // namespace
 
 std::vector<EnsemblePrediction> MajorityVoteRows(
@@ -95,32 +139,18 @@ std::vector<EnsemblePrediction> MajorityVoteRows(
   RAFIKI_CHECK(!votes.empty());
   RAFIKI_CHECK_EQ(votes.size(), accuracies.size());
   size_t rows = votes[0].size();
+  for (const std::vector<int64_t>& model_votes : votes) {
+    RAFIKI_CHECK_EQ(model_votes.size(), rows);
+  }
   std::vector<EnsemblePrediction> out(rows);
   for (size_t r = 0; r < rows; ++r) {
-    std::map<int64_t, int> counts;
-    EnsemblePrediction& p = out[r];
-    p.votes.reserve(votes.size());
-    for (const std::vector<int64_t>& model_votes : votes) {
-      RAFIKI_CHECK_EQ(model_votes.size(), rows);
-      p.votes.push_back(model_votes[r]);
-      ++counts[model_votes[r]];
-    }
-    int best_votes = 0;
-    for (const auto& [label, n] : counts) best_votes = std::max(best_votes, n);
-    double best_acc = -1.0;
-    for (size_t m = 0; m < votes.size(); ++m) {
-      int64_t label = votes[m][r];
-      if (counts[label] == best_votes && accuracies[m] > best_acc) {
-        best_acc = accuracies[m];
-        p.label = label;
-      }
-    }
+    MajorityVoteRow(votes, accuracies, votes.size(), r, &out[r]);
   }
   return out;
 }
 
 InferenceRuntime::~InferenceRuntime() {
-  std::map<std::string, std::shared_ptr<Job>> jobs;
+  std::map<std::string, std::shared_ptr<Job>, std::less<>> jobs;
   {
     std::lock_guard<std::mutex> lock(mu_);
     jobs.swap(jobs_);
@@ -236,7 +266,7 @@ Result<std::string> InferenceRuntime::Deploy(const std::string& job_id,
 }
 
 std::shared_ptr<InferenceRuntime::Job> InferenceRuntime::FindJob(
-    const std::string& job_id) const {
+    std::string_view job_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(job_id);
   return it == jobs_.end() ? nullptr : it->second;
@@ -274,6 +304,30 @@ void InferenceRuntime::StartReplica(const std::shared_ptr<Job>& job,
       fresh->models.push_back(std::move(clone));
     }
     fresh->profiles = job->profiles;
+    // Scratch for a full batch: the input rows, each model's activations
+    // (one forward sizes them), the argmax and vote buffers, and the
+    // answers with room for every model's vote.
+    const size_t num_models = fresh->models.size();
+    const int64_t max_b = *std::max_element(job->opts.batch_sizes.begin(),
+                                            job->opts.batch_sizes.end());
+    Scratch& scratch = fresh->scratch;
+    scratch.batch.reserve(static_cast<size_t>(max_b));
+    scratch.input = Tensor({max_b, job->input_dim});
+    scratch.ws.resize(num_models);
+    for (size_t m = 0; m < num_models; ++m) {
+      fresh->models[m].net.Forward(scratch.input, /*train=*/false,
+                                   &scratch.ws[m]);
+    }
+    scratch.votes.resize(num_models);
+    for (std::vector<int64_t>& labels : scratch.votes) {
+      labels.reserve(static_cast<size_t>(max_b));
+    }
+    scratch.vote_accuracies.reserve(num_models);
+    scratch.answers.reserve(static_cast<size_t>(max_b));
+    for (int64_t r = 0; r < max_b; ++r) {
+      scratch.answers.emplace_back(EnsemblePrediction{});
+      scratch.answers.back()->votes.reserve(num_models);
+    }
     fresh->policy = MakePolicy(*job);
     RAFIKI_CHECK(fresh->policy != nullptr);  // validated at Deploy
     job->slots[index] = std::move(fresh);
@@ -349,30 +403,24 @@ void InferenceRuntime::StopJob(Job& job) {
   }
 }
 
-Status InferenceRuntime::SubmitAsync(const std::string& job_id,
-                                     Tensor features, Callback done) {
+Status InferenceRuntime::SubmitAsync(std::string_view job_id,
+                                     std::span<const float> features,
+                                     Callback done) {
   if (done == nullptr) {
     return Status::InvalidArgument("SubmitAsync requires a callback");
   }
   std::shared_ptr<Job> job = FindJob(job_id);
   if (job == nullptr) {
     return Status::NotFound(StrFormat("no inference job '%s'",
-                                      job_id.c_str()));
+                                      std::string(job_id).c_str()));
   }
-  if (features.rank() == 1) features.Reshape({1, features.numel()});
-  if (features.rank() != 2 || features.dim(0) != 1) {
-    return Status::InvalidArgument("features must be [dim] or [1, dim]");
-  }
-  if (features.dim(1) != job->input_dim) {
+  if (static_cast<int64_t>(features.size()) != job->input_dim) {
     return Status::InvalidArgument(
         StrFormat("feature dim %lld != model input dim %lld",
-                  static_cast<long long>(features.dim(1)),
+                  static_cast<long long>(features.size()),
                   static_cast<long long>(job->input_dim)));
   }
 
-  Pending pending;
-  pending.features = std::move(features);
-  pending.done = std::move(done);
   bool stopping = false;
   size_t len = 0;
   {
@@ -383,6 +431,16 @@ Status InferenceRuntime::SubmitAsync(const std::string& job_id,
       if (job->queue.size() >= job->opts.queue_capacity) {
         ++job->dropped;
       } else {
+        Pending pending;
+        if (job->spare_rows.empty()) {
+          pending.features = Tensor({1, job->input_dim});
+        } else {
+          pending.features = std::move(job->spare_rows.back());
+          job->spare_rows.pop_back();
+        }
+        std::memcpy(pending.features.data(), features.data(),
+                    features.size_bytes());
+        pending.done = std::move(done);
         // Stamped under the lock, so the queue stays in arrival order.
         pending.arrival = job->NowSeconds();
         job->queue.push_back(std::move(pending));
@@ -391,45 +449,47 @@ Status InferenceRuntime::SubmitAsync(const std::string& job_id,
     }
   }
   if (stopping) {
-    return Status::NotFound(
-        StrFormat("inference job '%s' is undeploying", job_id.c_str()));
+    return Status::NotFound(StrFormat("inference job '%s' is undeploying",
+                                      std::string(job_id).c_str()));
   }
   if (len == 0) {
-    return Status::Unavailable(
-        StrFormat("inference job '%s' queue full", job_id.c_str()));
+    return Status::Unavailable(StrFormat("inference job '%s' queue full",
+                                         std::string(job_id).c_str()));
   }
   if (PushWakes(job->opts.batch_sizes, len)) job->queue_cv.notify_one();
   return Status::OK();
 }
 
 Result<std::future<Result<EnsemblePrediction>>> InferenceRuntime::Submit(
-    const std::string& job_id, Tensor features) {
-  auto promise =
-      std::make_shared<std::promise<Result<EnsemblePrediction>>>();
-  std::future<Result<EnsemblePrediction>> future = promise->get_future();
-  RAFIKI_RETURN_IF_ERROR(SubmitAsync(
-      job_id, std::move(features),
-      [promise](Result<EnsemblePrediction> answer) {
-        promise->set_value(std::move(answer));
-      }));
-  return future;
+    std::string_view job_id, const Tensor& features) {
+  if (features.rank() != 1 && (features.rank() != 2 || features.dim(0) != 1)) {
+    // An unknown job answers NotFound before any shape error, as
+    // SubmitAsync does.
+    if (FindJob(job_id) == nullptr) {
+      return Status::NotFound(StrFormat("no inference job '%s'",
+                                        std::string(job_id).c_str()));
+    }
+    return Status::InvalidArgument("features must be [dim] or [1, dim]");
+  }
+  return SubmitForFuture(
+      *this, job_id,
+      {features.data(), static_cast<size_t>(features.numel())});
 }
 
 Result<std::vector<EnsemblePrediction>> InferenceRuntime::QueryBatch(
-    const std::string& job_id, const Tensor& features) {
+    std::string_view job_id, const Tensor& features) {
   if (features.rank() != 2) {
     return Status::InvalidArgument("features must be [batch, dim]");
   }
   int64_t rows = features.dim(0);
-  int64_t dim = features.dim(1);
+  auto dim = static_cast<size_t>(features.dim(1));
   std::vector<std::future<Result<EnsemblePrediction>>> futures;
   futures.reserve(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
-    Tensor row({1, dim});
-    std::memcpy(row.data(), features.data() + r * dim,
-                static_cast<size_t>(dim) * sizeof(float));
-    RAFIKI_ASSIGN_OR_RETURN(std::future<Result<EnsemblePrediction>> future,
-                            Submit(job_id, std::move(row)));
+    RAFIKI_ASSIGN_OR_RETURN(
+        std::future<Result<EnsemblePrediction>> future,
+        SubmitForFuture(*this, job_id,
+                        {features.data() + static_cast<size_t>(r) * dim, dim}));
     futures.push_back(std::move(future));
   }
   std::vector<EnsemblePrediction> out;
@@ -443,11 +503,11 @@ Result<std::vector<EnsemblePrediction>> InferenceRuntime::QueryBatch(
 }
 
 Result<InferenceJobMetrics> InferenceRuntime::Metrics(
-    const std::string& job_id) const {
+    std::string_view job_id) const {
   std::shared_ptr<Job> job = FindJob(job_id);
   if (job == nullptr) {
     return Status::NotFound(StrFormat("no inference job '%s'",
-                                      job_id.c_str()));
+                                      std::string(job_id).c_str()));
   }
   InferenceJobMetrics stats;
   stats.policy = job->policy_name;
@@ -522,7 +582,7 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
   const double delta = kBackoffDeltaFraction * opts.tau;
   const uint32_t all_models = (1u << self->profiles.size()) - 1;
   RingDeque<Pending>& queue = job->queue;
-  std::vector<Pending> expired;  // scratch, capacity reused
+  std::vector<Pending>& batch = self->scratch.batch;
   ServingObs obs;                // capacity reused across decisions
   obs.tau = opts.tau;
   obs.batch_sizes = &opts.batch_sizes;
@@ -553,11 +613,11 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
       // meet the SLO — answer it kDeadlineExceeded now instead of letting
       // it occupy batch capacity.
       for (size_t i = 0; i < step.expire; ++i) {
-        expired.push_back(std::move(queue.front()));
+        batch.push_back(std::move(queue.front()));
         queue.pop_front();
       }
       lock.unlock();
-      auto n = static_cast<int64_t>(expired.size());
+      auto n = static_cast<int64_t>(batch.size());
       expired_unrewarded += n;
       {
         std::lock_guard<std::mutex> stats_lock(self->mu);
@@ -565,12 +625,13 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
         self->stats.overdue += n;
         self->stats.reward_pending_overdue += n;
       }
-      for (Pending& p : expired) {
+      for (Pending& p : batch) {
         p.done(Status::DeadlineExceeded(
             StrFormat("queue wait exceeded tau=%.6fs", opts.tau)));
+        p.done = nullptr;
       }
-      expired.clear();
       lock.lock();
+      RecycleRows(*job, &batch);
       continue;
     }
     if (step.take == 0) {
@@ -584,8 +645,6 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
       continue;
     }
 
-    std::vector<Pending> batch;
-    batch.reserve(static_cast<size_t>(step.take));
     for (int64_t i = 0; i < step.take; ++i) {
       batch.push_back(std::move(queue.front()));
       queue.pop_front();
@@ -607,8 +666,7 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
     uint32_t variant = job->variant_masks[static_cast<size_t>(level)];
     uint32_t exec = step.action.model_mask & variant;
     if (exec == 0) exec = variant;
-    double reward =
-        ProcessBatch(*job, *self, std::move(batch), exec, expired_unrewarded);
+    double reward = ProcessBatch(*job, *self, exec, expired_unrewarded);
     self->inflight.store(0, std::memory_order_relaxed);
     expired_unrewarded = 0;
     // Online learning from the realized outcome (no-op for greedy): runs
@@ -616,8 +674,18 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
     // never see a batch whose reward is missing.
     self->policy->Feedback(obs, step.action, reward);
     lock.lock();
+    RecycleRows(*job, &batch);
   }
   self->expired_carry = expired_unrewarded;
+}
+
+void InferenceRuntime::RecycleRows(Job& job, std::vector<Pending>* batch) {
+  for (Pending& p : *batch) {
+    if (job.spare_rows.size() < job.opts.queue_capacity) {
+      job.spare_rows.push_back(std::move(p.features));
+    }
+  }
+  batch->clear();
 }
 
 ControllerAction ControllerStep(const ControllerTick& tick,
@@ -744,31 +812,46 @@ double InferenceRuntime::EnsembleAccuracy(const Job& job, uint32_t mask) {
 }
 
 double InferenceRuntime::ProcessBatch(Job& job, Replica& self,
-                                      std::vector<Pending> batch,
                                       uint32_t model_mask,
                                       int64_t expired_unrewarded) {
+  Scratch& scratch = self.scratch;
+  std::vector<Pending>& batch = scratch.batch;
   auto b = static_cast<int64_t>(batch.size());
-  Tensor features({b, job.input_dim});
+  const int64_t dim = job.input_dim;
+  scratch.input.EnsureShape2(b, dim);
   for (int64_t r = 0; r < b; ++r) {
-    std::memcpy(features.data() + r * job.input_dim,
+    std::memcpy(scratch.input.data() + r * dim,
                 batch[static_cast<size_t>(r)].features.data(),
-                static_cast<size_t>(job.input_dim) * sizeof(float));
+                static_cast<size_t>(dim) * sizeof(float));
   }
 
   // Only the models the policy (and variant) selected run — on this
   // replica's own clones; the vote and its accuracy tie-break are over
   // that subset.
-  std::vector<std::vector<int64_t>> votes;
-  std::vector<double> vote_accuracies;
-  votes.reserve(self.models.size());
+  size_t voters = 0;
+  scratch.vote_accuracies.clear();
   for (size_t m = 0; m < self.models.size(); ++m) {
     if ((model_mask & (1u << m)) == 0) continue;
-    Tensor logits = self.models[m].net.Forward(features, /*train=*/false);
-    votes.push_back(logits.ArgmaxRows());
-    vote_accuracies.push_back(job.accuracies[m]);
+    const Tensor& logits =
+        self.models[m].net.Forward(scratch.input, /*train=*/false,
+                                   &scratch.ws[m]);
+    const int64_t classes = logits.dim(1);
+    std::vector<int64_t>& labels = scratch.votes[voters++];
+    labels.resize(static_cast<size_t>(b));
+    for (int64_t r = 0; r < b; ++r) {
+      const float* row = logits.data() + r * classes;
+      labels[static_cast<size_t>(r)] =
+          std::max_element(row, row + classes) - row;
+    }
+    scratch.vote_accuracies.push_back(job.accuracies[m]);
   }
-  std::vector<EnsemblePrediction> answers =
-      MajorityVoteRows(votes, vote_accuracies);
+  while (scratch.answers.size() < batch.size()) {
+    scratch.answers.emplace_back(EnsemblePrediction{});
+  }
+  for (size_t r = 0; r < batch.size(); ++r) {
+    MajorityVoteRow(scratch.votes, scratch.vote_accuracies, voters, r,
+                    &*scratch.answers[r]);
+  }
 
   double completion = job.NowSeconds();
   int64_t overdue = 0;
@@ -801,10 +884,11 @@ double InferenceRuntime::ProcessBatch(Job& job, Replica& self,
     }
   }
   // Invoke continuations after the counters: a caller resumed by its
-  // callback immediately sees its own request reflected in Metrics().
-  for (int64_t r = 0; r < b; ++r) {
-    batch[static_cast<size_t>(r)].done(
-        std::move(answers[static_cast<size_t>(r)]));
+  // callback immediately sees its own request reflected in Metrics(). Each
+  // is released here, outside the queue mutex RecycleRows runs under.
+  for (size_t r = 0; r < batch.size(); ++r) {
+    batch[r].done(scratch.answers[r]);
+    batch[r].done = nullptr;
   }
   return reward;
 }

@@ -9,7 +9,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -277,8 +279,9 @@ class InferenceRuntime {
   /// Continuation invoked exactly once with the request's outcome.
   /// Runs on a replica dispatcher thread — it must be fast (hand heavy
   /// work elsewhere) and must NOT call Undeploy or destroy the runtime
-  /// (the dispatcher would join itself).
-  using Callback = std::function<void(Result<EnsemblePrediction>)>;
+  /// (the dispatcher would join itself). The answer lives in the
+  /// dispatcher's scratch and is only valid during the call.
+  using Callback = std::function<void(const Result<EnsemblePrediction>&)>;
 
   InferenceRuntime() = default;
   ~InferenceRuntime();
@@ -297,42 +300,58 @@ class InferenceRuntime {
   /// to race with Submit.
   Status Undeploy(const std::string& job_id);
 
-  /// Enqueues one request (features: [dim] or [1, dim]) with a
-  /// continuation: `done` is invoked from a replica dispatcher thread when
-  /// the batch containing the request completes (or when it expires / is
-  /// failed by Undeploy). The submitting thread never waits for the batch;
-  /// it only holds the job's queue mutex for the push.
+  /// Enqueues one request (a row of `dim` features) with a continuation:
+  /// `done` is invoked from a replica dispatcher thread when the batch
+  /// containing the request completes (or when it expires / is failed by
+  /// Undeploy). The submitting thread never waits for the batch; it only
+  /// holds the job's queue mutex for the push, during which the row is
+  /// copied into a pooled [1, dim] row, so `features` may go away on
+  /// return. This is the one submit path: Submit and QueryBatch call it.
   /// A non-OK return means the request was NOT enqueued and `done` will
   /// never run: NotFound (unknown/undeploying job), Unavailable (queue
   /// full; retryable), InvalidArgument (wrong feature dimension).
   /// Once enqueued, `done` runs exactly once with either a prediction,
   /// kDeadlineExceeded (queue wait > tau, with expire_overdue), or
   /// kUnavailable (job undeployed while queued).
-  Status SubmitAsync(const std::string& job_id, Tensor features,
+  Status SubmitAsync(std::string_view job_id, std::span<const float> features,
                      Callback done);
 
-  /// Future-based wrapper over SubmitAsync for callers that want to block.
+  /// Future-based wrapper over SubmitAsync for callers that want to block;
+  /// `features` is [dim] or [1, dim].
   Result<std::future<Result<EnsemblePrediction>>> Submit(
-      const std::string& job_id, Tensor features);
+      std::string_view job_id, const Tensor& features);
 
   /// Synchronous convenience for bulk callers: submits every row of
   /// `features` [n, dim] through the batched path and waits for all
   /// answers. Fails with the first error Submit returns for a row, such as
   /// Unavailable on a full queue; rows already queued are still answered.
-  Result<std::vector<EnsemblePrediction>> QueryBatch(const std::string& job_id,
+  Result<std::vector<EnsemblePrediction>> QueryBatch(std::string_view job_id,
                                                      const Tensor& features);
 
   /// Live counters of one job, aggregated over all its replicas.
-  Result<InferenceJobMetrics> Metrics(const std::string& job_id) const;
+  Result<InferenceJobMetrics> Metrics(std::string_view job_id) const;
 
   /// Ids of currently deployed jobs.
   std::vector<std::string> Jobs() const;
 
  private:
   struct Pending {
-    Tensor features;  // [1, dim]
+    Tensor features;  // a pooled [1, dim] row
     Callback done;    // invoked exactly once, on some dispatcher thread
     double arrival = 0.0;  // job-clock seconds
+  };
+
+  /// A replica dispatcher's reusable buffers, sized when its slot is
+  /// created for a full batch, so executing a batch allocates nothing.
+  struct Scratch {
+    std::vector<Pending> batch;  // the requests taken, then expired ones
+    Tensor input;                // [b, dim] rows of the batch
+    std::vector<nn::Workspace> ws;  // one per model: Forward's activations
+    /// Per selected model, its argmax label of each row; the first
+    /// `voters` entries of both vectors vote.
+    std::vector<std::vector<int64_t>> votes;
+    std::vector<double> vote_accuracies;
+    std::vector<Result<EnsemblePrediction>> answers;  // one per row
   };
 
   /// Lifetime counters one replica dispatcher accumulates, guarded by the
@@ -370,6 +389,7 @@ class InferenceRuntime {
     std::vector<ServableModel> models;          // deep clones, this thread only
     std::vector<model::ModelProfile> profiles;  // copy of job calibration
     std::unique_ptr<SchedulerPolicy> policy;    // this thread only
+    Scratch scratch;                            // this thread only
     std::thread dispatcher;
     std::mutex mu;  // guards stats
     ReplicaStats stats;
@@ -413,6 +433,9 @@ class InferenceRuntime {
     std::mutex queue_mu;
     std::condition_variable queue_cv;  // dispatchers wait here
     RingDeque<Pending> queue;
+    /// Rows handed back by the dispatchers, for SubmitAsync to fill; at
+    /// most queue_capacity of them are kept.
+    std::vector<Tensor> spare_rows;
     int64_t arrived = 0;
     int64_t dropped = 0;
     bool stopping = false;  // Undeploy
@@ -436,7 +459,7 @@ class InferenceRuntime {
     }
   };
 
-  std::shared_ptr<Job> FindJob(const std::string& job_id) const;
+  std::shared_ptr<Job> FindJob(std::string_view job_id) const;
   static void StopJob(Job& job);
   /// Builds the policy instance for one replica (factory or greedy
   /// default).
@@ -451,20 +474,23 @@ class InferenceRuntime {
   static void RetireReplica(Job& job, size_t index);
   static void ReplicaLoop(const std::shared_ptr<Job>& job, Replica* self);
   static void ControllerLoop(const std::shared_ptr<Job>& job);
-  /// Runs one batch on the replica's clones of the models selected by
-  /// `model_mask`, answers its continuations, and folds the realized
-  /// Equation 7 reward — including `expired_unrewarded` not-yet-charged
-  /// expiries — into the replica stats in one atomic update. Returns the
-  /// reward for the policy's Feedback.
-  static double ProcessBatch(Job& job, Replica& self,
-                             std::vector<Pending> batch, uint32_t model_mask,
+  /// Runs the batch in the replica's scratch on its clones of the models
+  /// selected by `model_mask`, answers its continuations, and folds the
+  /// realized Equation 7 reward — including `expired_unrewarded`
+  /// not-yet-charged expiries — into the replica stats in one atomic
+  /// update. Returns the reward for the policy's Feedback.
+  static double ProcessBatch(Job& job, Replica& self, uint32_t model_mask,
                              int64_t expired_unrewarded);
+  /// Called under the queue mutex: returns the rows of the scratch batch
+  /// to the job's spare rows and empties the batch. Its continuations have
+  /// run and been released.
+  static void RecycleRows(Job& job, std::vector<Pending>* batch);
   /// a(M[v]) in the realized reward: the most accurate selected model
   /// (exact for |M| = 1, a lower bound for a larger ensemble).
   static double EnsembleAccuracy(const Job& job, uint32_t model_mask);
 
   mutable std::mutex mu_;  // guards jobs_ only
-  std::map<std::string, std::shared_ptr<Job>> jobs_;
+  std::map<std::string, std::shared_ptr<Job>, std::less<>> jobs_;
 };
 
 }  // namespace rafiki::serving

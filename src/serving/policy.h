@@ -116,9 +116,7 @@ DispatchStep StepDispatch(SchedulerPolicy& policy,
   size_t observed = std::min(queue.size(), kMaxObservedWaits);
   for (size_t i = 0; i < observed; ++i) {
     double wait = now - queue[i].arrival;
-#ifndef NDEBUG
     RAFIKI_CHECK_GE(wait, 0.0) << "stale queue-wait feature";
-#endif
     obs->queue_waits.push_back(wait);
   }
   step.action = policy.Decide(*obs);

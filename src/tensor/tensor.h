@@ -77,8 +77,15 @@ class Tensor {
   /// Rank-specific fast paths: a `Shape` is itself a heap vector, so hot
   /// loops must not build one per call just to discover it already matches.
   void EnsureShape2(int64_t rows, int64_t cols) {
-    if (shape_.size() == 2 && shape_[0] == rows && shape_[1] == cols) return;
-    EnsureShape({rows, cols});
+    if (shape_.size() != 2) {
+      EnsureShape({rows, cols});
+      return;
+    }
+    if (shape_[0] == rows && shape_[1] == cols) return;
+    // Same rank: rewrite the dims in place (a batch of another size).
+    data_.resize(static_cast<size_t>(rows * cols));
+    shape_[0] = rows;
+    shape_[1] = cols;
   }
   void EnsureShape4(int64_t n, int64_t c, int64_t h, int64_t w) {
     if (shape_.size() == 4 && shape_[0] == n && shape_[1] == c &&

@@ -1,10 +1,15 @@
 #include "rafiki/gateway.h"
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <utility>
 
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
@@ -104,6 +109,87 @@ TEST_F(GatewayTest, PercentDecodesParams) {
   auto k = Gateway::Parse("GET /jobs/j %6aob=x\n");
   ASSERT_TRUE(k.ok());
   EXPECT_EQ(k->params.at("job"), "x");
+}
+
+/// The feature parser before std::from_chars, as the reference: Split on
+/// ',' and std::strtof per field.
+Status ReferenceParseFeatures(const std::string& body,
+                              std::vector<float>* out) {
+  out->clear();
+  if (body.empty()) return Status::InvalidArgument("missing feature body");
+  for (const std::string& field : Split(body, ',')) {
+    if (field.empty()) return Status::InvalidArgument("empty feature field");
+    char* end = nullptr;
+    float v = std::strtof(field.c_str(), &end);
+    if (end == field.c_str()) return Status::InvalidArgument("bad feature");
+    out->push_back(v);
+  }
+  return Status::OK();
+}
+
+/// Same accept/reject decision as the reference and bit-identical values.
+void ExpectParity(const std::string& body) {
+  std::vector<float> got;
+  std::vector<float> want;
+  Status parsed = Gateway::ParseFeatures(body, &got);
+  Status reference = ReferenceParseFeatures(body, &want);
+  ASSERT_EQ(parsed.ok(), reference.ok())
+      << "'" << body << "': " << parsed.ToString();
+  if (!parsed.ok()) {
+    EXPECT_TRUE(parsed.IsInvalidArgument()) << parsed.ToString();
+    return;
+  }
+  ASSERT_EQ(got.size(), want.size()) << "'" << body << "'";
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << "'" << body << "'";
+}
+
+TEST(GatewayFeatureParserTest, MatchesSplitAndStrtof) {
+  for (const char* accepted :
+       {" 1", "+1", "0x1p3", "1e50", "1e-50", "1.5abc", "nan", "inf", "-0",
+        "-nan", "nan(123)", "1e-40", "0.1,0.2,-3.5e2", "1.", ".5"}) {
+    SCOPED_TRACE(accepted);
+    std::vector<float> row;
+    EXPECT_TRUE(Gateway::ParseFeatures(accepted, &row).ok());
+    ExpectParity(accepted);
+  }
+  for (const char* rejected : {"", "1,", ",1", "1,,2", "abc", " ", "abc,def",
+                               "1,abc", "+", "-"}) {
+    SCOPED_TRACE(rejected);
+    std::vector<float> row;
+    EXPECT_FALSE(Gateway::ParseFeatures(rejected, &row).ok());
+    ExpectParity(rejected);
+  }
+}
+
+TEST(GatewayFeatureParserTest, RandomFloatsRoundTripLikeStrtof) {
+  // Every bit pattern is fair game: normals, subnormals, infinities and
+  // NaNs, printed the two ways clients print floats.
+  Rng rng(32);
+  char text[64];
+  for (int i = 0; i < 10000; ++i) {
+    auto bits = static_cast<uint32_t>(rng.Next64());
+    float value = 0.0f;
+    std::memcpy(&value, &bits, sizeof(value));
+    for (const char* format : {"%.9g", "%a"}) {
+      std::snprintf(text, sizeof(text), format, static_cast<double>(value));
+      ExpectParity(text);
+      if (std::isnan(value)) continue;
+      std::vector<float> row;
+      ASSERT_TRUE(Gateway::ParseFeatures(text, &row).ok()) << text;
+      ASSERT_EQ(row.size(), 1u);
+      EXPECT_EQ(std::memcmp(&row[0], &value, sizeof(value)), 0) << text;
+    }
+  }
+  // Rows of several fields, as query bodies carry them.
+  std::string body;
+  for (int i = 0; i < 256; ++i) {
+    if (i > 0) body.push_back(',');
+    std::snprintf(text, sizeof(text), "%.6g", rng.Uniform(-10.0, 10.0));
+    body += text;
+  }
+  ExpectParity(body);
 }
 
 TEST_F(GatewayTest, OversizedRequestsAre413) {

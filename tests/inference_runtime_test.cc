@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -47,6 +48,11 @@ Tensor OneHot(int64_t dim, int64_t hot) {
   Tensor t({1, dim});
   t.at(hot) = 1.0f;
   return t;
+}
+
+/// The row SubmitAsync takes, viewing `t`.
+std::span<const float> Row(const Tensor& t) {
+  return {t.data(), static_cast<size_t>(t.numel())};
 }
 
 TEST(InferenceRuntimeTest, SingleSubmitServesCorrectLabel) {
@@ -471,7 +477,7 @@ TEST(InferenceRuntimeTest, SubmitAsyncDeliversCallback) {
   std::promise<Result<EnsemblePrediction>> promise;
   std::future<Result<EnsemblePrediction>> future = promise.get_future();
   Status submitted = runtime.SubmitAsync(
-      "j", OneHot(4, 2), [&promise](Result<EnsemblePrediction> answer) {
+      "j", Row(OneHot(4, 2)), [&promise](Result<EnsemblePrediction> answer) {
         promise.set_value(std::move(answer));
       });
   ASSERT_TRUE(submitted.ok()) << submitted.ToString();
@@ -481,11 +487,11 @@ TEST(InferenceRuntimeTest, SubmitAsyncDeliversCallback) {
 
   // Rejected submissions return a status and never run the callback.
   EXPECT_TRUE(runtime
-                  .SubmitAsync("ghost", OneHot(4, 0),
+                  .SubmitAsync("ghost", Row(OneHot(4, 0)),
                                [](Result<EnsemblePrediction>) { FAIL(); })
                   .IsNotFound());
   EXPECT_TRUE(runtime
-                  .SubmitAsync("j", OneHot(7, 0),
+                  .SubmitAsync("j", Row(OneHot(7, 0)),
                                [](Result<EnsemblePrediction>) { FAIL(); })
                   .IsInvalidArgument());
   ASSERT_TRUE(runtime.Undeploy("j").ok());
@@ -509,7 +515,7 @@ TEST(InferenceRuntimeTest, QueueDeadlineExpiresOverdueRequests) {
   std::vector<Status> outcomes;
   for (int i = 0; i < kRequests; ++i) {
     Status submitted = runtime.SubmitAsync(
-        "j", OneHot(4, i % 4), [&](Result<EnsemblePrediction> answer) {
+        "j", Row(OneHot(4, i % 4)), [&](Result<EnsemblePrediction> answer) {
           std::lock_guard<std::mutex> lock(mu);
           outcomes.push_back(answer.status());
           cv.notify_all();
@@ -717,7 +723,7 @@ TEST(InferenceRuntimeTest, RlPolicyStormConservesAccountingAndExpiryReward) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         Status submitted = runtime.SubmitAsync(
-            "j", OneHot(kDim, i % kDim),
+            "j", Row(OneHot(kDim, i % kDim)),
             [&](Result<EnsemblePrediction> answer) {
               if (answer.ok()) {
                 ++served;

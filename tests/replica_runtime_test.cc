@@ -11,6 +11,7 @@
 #include <chrono>
 #include <future>
 #include <string>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -65,6 +66,11 @@ Tensor OneHot(int64_t dim, int64_t hot) {
   Tensor t({1, dim});
   t.at(hot) = 1.0f;
   return t;
+}
+
+/// The row SubmitAsync takes, viewing `t`.
+std::span<const float> Row(const Tensor& t) {
+  return {t.data(), static_cast<size_t>(t.numel())};
 }
 
 InferenceJobMetrics MustMetrics(InferenceRuntime& runtime,
@@ -406,7 +412,7 @@ TEST(ReplicaRuntimeTest, AutoscaleStormConservesAndCharges504ExactlyOnce) {
         for (int i = 0; i < 40 && !stop.load(std::memory_order_relaxed);
              ++i) {
           Status submitted = runtime.SubmitAsync(
-              "j", OneHot(32, rng.Next64() % 32),
+              "j", Row(OneHot(32, rng.Next64() % 32)),
               [&](Result<EnsemblePrediction> answer) {
                 if (answer.ok()) {
                   ++ok_answers;
@@ -511,7 +517,7 @@ TEST(ReplicaRuntimeTest, VariantDownshiftTradesAccuracyForLatency) {
       for (int i = 0; i < 256 && !stop.load(std::memory_order_relaxed);
            ++i) {
         Status submitted = runtime.SubmitAsync(
-            "j", OneHot(16, rng.Next64() % 16),
+            "j", Row(OneHot(16, rng.Next64() % 16)),
             [&](Result<EnsemblePrediction>) { ++callbacks; });
         if (submitted.ok()) ++accepted;
       }

@@ -2,12 +2,14 @@
 // bound invariants that must hold for every policy at every load level.
 
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "model/profile.h"
 #include "serving/greedy_batch.h"
+#include "serving/inference_runtime.h"
 #include "serving/rl_scheduler.h"
 #include "serving/simulator.h"
 #include "serving/sine_arrival.h"
@@ -19,6 +21,61 @@ std::vector<model::ModelProfile> Triple() {
   return {model::FindProfile("inception_v3").value(),
           model::FindProfile("inception_v4").value(),
           model::FindProfile("inception_resnet_v2").value()};
+}
+
+/// The map-based majority vote the runtime used before it voted on
+/// scratch buffers, kept as the oracle.
+std::vector<EnsemblePrediction> MapVoteOracle(
+    const std::vector<std::vector<int64_t>>& votes,
+    const std::vector<double>& accuracies) {
+  size_t rows = votes[0].size();
+  std::vector<EnsemblePrediction> out(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    std::map<int64_t, int> counts;
+    EnsemblePrediction& p = out[r];
+    for (const std::vector<int64_t>& model_votes : votes) {
+      p.votes.push_back(model_votes[r]);
+      ++counts[model_votes[r]];
+    }
+    int best_votes = 0;
+    for (const auto& [label, n] : counts) best_votes = std::max(best_votes, n);
+    double best_acc = -1.0;
+    for (size_t m = 0; m < votes.size(); ++m) {
+      int64_t label = votes[m][r];
+      if (counts[label] == best_votes && accuracies[m] > best_acc) {
+        best_acc = accuracies[m];
+        p.label = label;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(MajorityVoteProperty, MatchesTheMapOracle) {
+  // Few classes make ties common, and accuracies drawn from a short list
+  // repeat, so the tie-break's "first most accurate" order is exercised.
+  Rng rng(20261021);
+  const double kAccuracies[] = {0.5, 0.7, 0.7, 0.9, 0.9, 0.95};
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto models = static_cast<size_t>(rng.UniformInt(1, 31));
+    auto rows = static_cast<size_t>(rng.UniformInt(1, 64));
+    int64_t classes = rng.UniformInt(2, 4);
+    std::vector<std::vector<int64_t>> votes(models,
+                                            std::vector<int64_t>(rows));
+    std::vector<double> accuracies(models);
+    for (size_t m = 0; m < models; ++m) {
+      accuracies[m] = kAccuracies[rng.UniformInt(0, 5)];
+      for (int64_t& label : votes[m]) label = rng.UniformInt(0, classes - 1);
+    }
+    std::vector<EnsemblePrediction> want = MapVoteOracle(votes, accuracies);
+    std::vector<EnsemblePrediction> got = MajorityVoteRows(votes, accuracies);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(got[r].label, want[r].label)
+          << "trial " << trial << " row " << r << " models " << models;
+      ASSERT_EQ(got[r].votes, want[r].votes) << "trial " << trial;
+    }
+  }
 }
 
 /// (policy kind, load as a fraction of the 3-model max throughput).

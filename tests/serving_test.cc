@@ -143,6 +143,18 @@ TEST(DispatchStepTest, ObservesAtMost64Waits) {
   EXPECT_DOUBLE_EQ(obs.queue_waits.back(), 2.0 - 0.01 * 63);
 }
 
+TEST(DispatchStepTest, NegativeWaitAborts) {
+  // A `now` earlier than a queued arrival is a stale clock. The check runs
+  // in every build, so the policy never sees a negative queue wait.
+  RingDeque<Arrival> queue;
+  queue.push_back(Arrival{0.2});
+  queue.push_back(Arrival{1.0});
+  FixedActionPolicy policy(ServingAction{});
+  ServingObs obs = StepObs(/*tau=*/10.0);
+  EXPECT_DEATH(StepDispatch(policy, queue, 0.5, /*expire=*/false, &obs),
+               "stale queue-wait feature");
+}
+
 TEST(SineArrivalTest, CalibrationMatchesEquations) {
   SineArrivalProcess arrivals(/*target_rate=*/272.0, /*period=*/280.0, 1);
   // Equation 9: peak is 1.1 * target.
