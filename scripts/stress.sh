@@ -2,9 +2,9 @@
 # Repeats the concurrent test suites until one fails: the HTTP server and
 # client, the gateway, the replicated serving plane, the inference runtime,
 # the allocation-free query path, the load generator, the RPC bus, the
-# reactor, and the tuning protocol's studies and failure recovery. Run it in a tree that is already built, for
-# example a sanitizer build, to hunt interleavings that a single pass rarely
-# hits.
+# reactor, and the tuning protocol's studies and failure recovery. Run it in
+# a tree that is already built, for example a sanitizer build, to hunt
+# interleavings that a single pass rarely hits.
 #
 # Usage: scripts/stress.sh BUILD_DIR [N]
 #   N  repeats per test (default 5); the script exits non-zero on the first

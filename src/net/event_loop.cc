@@ -136,6 +136,11 @@ void EventLoop::Post(Task task) {
   if (need_wake) Wake();
 }
 
+void EventLoop::ReservePosted(size_t n) {
+  posted_.reserve(n);
+  posted_scratch_.reserve(n);
+}
+
 TimerId EventLoop::RunAfter(double delay, Task task) {
   TimerId id{clock_() + std::max(delay, 0.0), next_timer_seq_++};
   timers_.emplace(id, std::move(task));

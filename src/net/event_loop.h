@@ -103,6 +103,9 @@ class EventLoop {
   /// Enqueues `task` to run on the loop thread at the start of its next
   /// tick (before fd dispatch) and wakes the loop.
   void Post(Task task);
+  /// Sizes the mailbox for `n` tasks posted between two ticks, so posting
+  /// that many allocates nothing. Call before the loop runs.
+  void ReservePosted(size_t n);
   /// Forces the current/next epoll wait to return immediately.
   void Wake();
   /// Makes Run() return after finishing the current tick.

@@ -185,6 +185,9 @@ Status HttpServer::Start() {
     auto w = std::make_unique<Worker>();
     w->index = i;
     w->loop = std::make_unique<EventLoop>();
+    // Each admitted request posts at most one completion to its worker, so
+    // completions never grow a mailbox sized for max_inflight.
+    w->loop->ReservePosted(opts_.max_inflight);
     workers_.push_back(std::move(w));
   }
   // Worker 0 accepts. Registered before its thread starts, which is what

@@ -616,6 +616,7 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
         batch.push_back(std::move(queue.front()));
         queue.pop_front();
       }
+      RecycleRows(*job, &batch);
       lock.unlock();
       auto n = static_cast<int64_t>(batch.size());
       expired_unrewarded += n;
@@ -628,10 +629,9 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
       for (Pending& p : batch) {
         p.done(Status::DeadlineExceeded(
             StrFormat("queue wait exceeded tau=%.6fs", opts.tau)));
-        p.done = nullptr;
       }
+      batch.clear();
       lock.lock();
-      RecycleRows(*job, &batch);
       continue;
     }
     if (step.take == 0) {
@@ -674,7 +674,6 @@ void InferenceRuntime::ReplicaLoop(const std::shared_ptr<Job>& job,
     // never see a batch whose reward is missing.
     self->policy->Feedback(obs, step.action, reward);
     lock.lock();
-    RecycleRows(*job, &batch);
   }
   self->expired_carry = expired_unrewarded;
 }
@@ -685,7 +684,6 @@ void InferenceRuntime::RecycleRows(Job& job, std::vector<Pending>* batch) {
       job.spare_rows.push_back(std::move(p.features));
     }
   }
-  batch->clear();
 }
 
 ControllerAction ControllerStep(const ControllerTick& tick,
@@ -824,6 +822,13 @@ double InferenceRuntime::ProcessBatch(Job& job, Replica& self,
                 batch[static_cast<size_t>(r)].features.data(),
                 static_cast<size_t>(dim) * sizeof(float));
   }
+  {
+    // The rows are in the input now: hand them back before any
+    // continuation runs, so a caller's next request finds a spare row and
+    // the pool never holds more rows than the queue did.
+    std::lock_guard<std::mutex> lock(job.queue_mu);
+    RecycleRows(job, &batch);
+  }
 
   // Only the models the policy (and variant) selected run — on this
   // replica's own clones; the vote and its accuracy tie-break are over
@@ -884,12 +889,9 @@ double InferenceRuntime::ProcessBatch(Job& job, Replica& self,
     }
   }
   // Invoke continuations after the counters: a caller resumed by its
-  // callback immediately sees its own request reflected in Metrics(). Each
-  // is released here, outside the queue mutex RecycleRows runs under.
-  for (size_t r = 0; r < batch.size(); ++r) {
-    batch[r].done(scratch.answers[r]);
-    batch[r].done = nullptr;
-  }
+  // callback immediately sees its own request reflected in Metrics().
+  for (size_t r = 0; r < batch.size(); ++r) batch[r].done(scratch.answers[r]);
+  batch.clear();
   return reward;
 }
 

@@ -481,9 +481,8 @@ class InferenceRuntime {
   /// update. Returns the reward for the policy's Feedback.
   static double ProcessBatch(Job& job, Replica& self, uint32_t model_mask,
                              int64_t expired_unrewarded);
-  /// Called under the queue mutex: returns the rows of the scratch batch
-  /// to the job's spare rows and empties the batch. Its continuations have
-  /// run and been released.
+  /// Called under the queue mutex: moves the rows of `batch` to the job's
+  /// spare rows, keeping at most queue_capacity of them.
   static void RecycleRows(Job& job, std::vector<Pending>* batch);
   /// a(M[v]) in the realized reward: the most accurate selected model
   /// (exact for |M| = 1, a lower bound for a larger ensemble).

@@ -11,7 +11,10 @@
 // round trips after a warmup that sizes every pool: the slot arenas, the
 // runtime's pooled rows and queue ring, the dispatcher's scratch (batch,
 // input tensor, one nn::Workspace per model, argmax and vote buffers,
-// answers), the per-loop feature buffer and the loops' mailboxes.
+// answers) and the per-loop feature buffer. None of them grows with
+// timing: a batch's rows go back to the pool before its answers go out, so
+// the pool never holds more rows than the queue did, and each loop's
+// mailbox is reserved for max_inflight completions when the server starts.
 //
 // What is left: nothing. The writer's state lives in the slot, and the
 // continuation the runtime holds is one raw pointer inside std::function's
@@ -57,10 +60,27 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// Deploy's std::stable_sort takes its buffer from the nothrow form and
+// returns it through plain operator delete, so that form must come from
+// malloc too (AddressSanitizer reports the mismatch otherwise).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  CountAlloc();
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  CountAlloc();
+  return std::malloc(size ? size : 1);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace rafiki::api {
 namespace {
